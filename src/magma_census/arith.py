@@ -119,11 +119,14 @@ def _partitions_desc(n, max_part):
 def cycle_type_count(j: CycleType) -> int:
     """Number of permutations of {0..n-1} with cycle type j.
 
-    Equals n! / (prod_i i^{j_i} j_i!), always exactly integral.
+    Equals n! / z_j with z_j = prod_i i^{j_i} j_i!, always exactly
+    integral. The one definition of the cycle-type weight: the census sum
+    and the cycle-index coefficients both read it from here.
     """
     denom = 1
     for i, c in enumerate(j.j, start=1):
-        denom *= i**c * math.factorial(c)
+        if c:
+            denom *= i**c * math.factorial(c)
     q, r = divmod(math.factorial(j.n), denom)
     if r:
         raise ArithmeticError(f"non-integral permutation count for {j}")

@@ -6,6 +6,14 @@ free choices per chain gives a closed form per cycle type, and averaging
 over all of S_n (grouped by cycle type, weighted by how many permutations
 share it) gives the number of isomorphism classes.
 
+The closed form never visits the |support(j)|^k ordered tuples of cycle
+lengths. An i-cycle paired with a j-cycle gives gcd(i, j) cycles of length
+lcm(i, j), so the k coordinates fold in one at a time into a map from
+tuple-cycle length to summed weight, and each distinct length costs one
+bigint power. The weighted sum over cycle types is kept in exact integers,
+fpc(j) * n!/z_j, and divided by n! once at the end; it runs serially in the
+calling process.
+
 Three independent evaluation routes are kept deliberately separate: the
 partition-weighted sum, the literal average over all n! permutations, and
 substitution into the induced cycle index. They must agree, and the test
@@ -22,13 +30,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import (
     CycleType,
     all_perms,
+    cycle_type_count,
     cycle_type_of,
     divisors,
     enumerate_cycle_types,
@@ -108,25 +116,40 @@ def weighted_divisor_sum(j: CycleType, m: int) -> int:
     return sum(d * j.cycles_of_length(d) for d in divisors(m))
 
 
+def _power_product(cycles: list[tuple[int, int]], exponents: dict[int, int]) -> int:
+    # prod_L (sum of r * j_r over support r dividing L) ** exponents[L]: the
+    # weighted divisor sum, read off the support instead of the divisors of L.
+    total = 1
+    for length, e in exponents.items():
+        total *= sum(weight for r, weight in cycles if length % r == 0) ** e
+    return total
+
+
 def fixed_point_count(j: CycleType, k: int) -> int:
     """Number of k-ary tables fixed by any permutation of cycle type j.
 
     Product over ordered k-tuples (r_1, ..., r_k) of cycle lengths in the
     support of j: each tuple contributes the weighted divisor sum of
     L = lcm(r_1, ..., r_k) raised to (r_1*...*r_k / L) * j_{r_1}*...*j_{r_k}.
-    The empty ground set gives 1 for k >= 1 (empty product) and 0 for
-    k = 0, where the lone factor is j_1^1 = 0^1.
+    Computed by folding the coordinates one at a time into a map from L to
+    the summed weight prod r_i * j_{r_i}; the exponent of L is that weight
+    over L, and each distinct L pays one power. The empty ground set gives
+    1 for k >= 1 (empty product) and 0 for k = 0, where the lone factor is
+    j_1^1 = 0^1.
     """
     if k < 0:
         raise ValueError(f"negative arity {k}")
-    total = 1
-    for lengths in itertools.product(j.support(), repeat=k):
-        length = lcm_list(lengths)
-        exponent = (math.prod(lengths) // length) * math.prod(
-            j.cycles_of_length(r) for r in lengths
-        )
-        total *= weighted_divisor_sum(j, length) ** exponent
-    return total
+    cycles = [(r, r * c) for r, c in enumerate(j.j, start=1) if c]
+    lcm = math.lcm
+    weights = {1: 1}
+    for _ in range(k):
+        folded: dict[int, int] = {}
+        for length, w in weights.items():
+            for r, weight in cycles:
+                m = lcm(length, r)
+                folded[m] = folded.get(m, 0) + w * weight
+        weights = folded
+    return _power_product(cycles, {m: w // m for m, w in weights.items()})
 
 
 def fixed_point_count_harrison(j: CycleType, k: int) -> int:
@@ -136,15 +159,25 @@ def fixed_point_count_harrison(j: CycleType, k: int) -> int:
     = r * s; from arity 3 on the gcd undercounts the chains each entry
     determines. Arity 1 has a single cycle length per tuple and multiplier
     1 either way; arity 0 is rejected, as there is no gcd of nothing.
+    Folds like fixed_point_count, keyed by (lcm, gcd) with weight
+    prod j_{r_i}; gcd(0, r) = r seeds the first coordinate.
     """
     if k < 1:
         raise ValueError(f"gcd variant needs arity >= 1, got {k}")
-    total = 1
-    for lengths in itertools.product(j.support(), repeat=k):
-        multiplier = gcd_list(lengths) if k >= 2 else 1
-        exponent = multiplier * math.prod(j.cycles_of_length(r) for r in lengths)
-        total *= weighted_divisor_sum(j, lcm_list(lengths)) ** exponent
-    return total
+    lcm, gcd = math.lcm, math.gcd
+    counts = [(r, c) for r, c in enumerate(j.j, start=1) if c]
+    weights = {(1, 0): 1}
+    for _ in range(k):
+        folded: dict[tuple[int, int], int] = {}
+        for (length, g), w in weights.items():
+            for r, c in counts:
+                key = (lcm(length, r), gcd(g, r))
+                folded[key] = folded.get(key, 0) + w * c
+        weights = folded
+    exponents: dict[int, int] = {}
+    for (length, g), w in weights.items():
+        exponents[length] = exponents.get(length, 0) + (g * w if k >= 2 else w)
+    return _power_product([(r, r * c) for r, c in counts], exponents)
 
 
 def _variant_fpc(variant: str):
@@ -155,46 +188,29 @@ def _variant_fpc(variant: str):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _type_weight_denominator(j: CycleType) -> int:
-    denom = 1
-    for i, c in enumerate(j.j, start=1):
-        denom *= i**c * math.factorial(c)
-    return denom
-
-
-def _partition_term(args: tuple[CycleType, int, str]) -> int:
-    j, k, variant = args
-    return _variant_fpc(variant)(j, k)
-
-
-def count_k_magmas(
-    n: int, k: int, variant: str = VARIANT_CORRECT, jobs: int = 1
-) -> CensusResult:
+def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
     """Number of isomorphism classes of k-ary operations on n elements.
 
-    Sums fixed_point_count(j, k) / (prod_i i^{j_i} j_i!) over the cycle
-    types j of n, in exact rationals. The cycle types are independent, so
-    jobs > 1 may farm them out; summands are still added in enumeration
-    order, making the result identical bit for bit across worker counts.
+    Sums fixed_point_count(j, k) * n!/z_j over the cycle types j of n as
+    they are enumerated, z_j = prod_i i^{j_i} j_i!, in exact integers, and
+    divides the total by n! with one divmod; a remainder raises. Serial and
+    in enumeration order, so the result is the same bit for bit on every
+    run.
     """
     start = time.perf_counter()
     query = CensusQuery(n, k, variant, METHOD_PARTITION)
     fpc = _variant_fpc(variant)
-    types = list(enumerate_cycle_types(n))
-    if jobs > 1 and len(types) > 1:
-        work = [(j, k, variant) for j in types]
-        workers = min(jobs, len(types))
-        chunk = -(-len(types) // workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_partition_term, work, chunksize=chunk))
-    else:
-        counts = [fpc(j, k) for j in types]
-    total = Fraction(0)
-    for j, c in zip(types, counts):
-        total += Fraction(c, _type_weight_denominator(j))
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integral class count {total} at n={n} k={k}")
-    return CensusResult(query, total.numerator, len(types), time.perf_counter() - start)
+    total = 0
+    terms = 0
+    for j in enumerate_cycle_types(n):
+        total += fpc(j, k) * cycle_type_count(j)
+        terms += 1
+    count, remainder = divmod(total, math.factorial(n))
+    if remainder:
+        raise ArithmeticError(
+            f"non-integral class count: remainder {remainder} mod {n}! at n={n} k={k}"
+        )
+    return CensusResult(query, count, terms, time.perf_counter() - start)
 
 
 def count_via_permutation_sum(
@@ -250,9 +266,10 @@ def _induce_harrison(z: CycleIndexPoly, k: int) -> CycleIndexPoly:
 def count_via_cycle_index(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
     """The same count again, through the induced cycle index.
 
-    Builds Z_n, induces it to the k-tuple action, and substitutes the
-    weighted divisor sum per term. A third route for cross-checking; the
-    only shared ingredient with count_k_magmas is the divisor sum itself.
+    Builds Z_n, induces it to the k-tuple action with the literal per-tuple
+    loop, and substitutes weighted_divisor_sum per term. A third route for
+    cross-checking: it shares no code with count_k_magmas, whose kernel
+    folds coordinates and reads its divisor sums off the support.
     """
     start = time.perf_counter()
     query = CensusQuery(n, k, variant, METHOD_PARTITION)
@@ -263,26 +280,18 @@ def count_via_cycle_index(n: int, k: int, variant: str = VARIANT_CORRECT) -> Cen
 
 
 def sequence(
-    k: int,
-    n_lo: int,
-    n_hi: int,
-    variant: str = VARIANT_CORRECT,
-    jobs: int = 1,
+    k: int, n_lo: int, n_hi: int, variant: str = VARIANT_CORRECT
 ) -> list[CensusResult]:
     """count_k_magmas for every n in [n_lo, n_hi], in order."""
     if not (0 <= n_lo <= n_hi):
         raise ValueError(f"bad range [{n_lo}, {n_hi}]")
-    return [count_k_magmas(n, k, variant, jobs) for n in range(n_lo, n_hi + 1)]
+    return [count_k_magmas(n, k, variant) for n in range(n_lo, n_hi + 1)]
 
 
 def sequence_in_k(
-    n: int,
-    k_lo: int,
-    k_hi: int,
-    variant: str = VARIANT_CORRECT,
-    jobs: int = 1,
+    n: int, k_lo: int, k_hi: int, variant: str = VARIANT_CORRECT
 ) -> list[CensusResult]:
     """count_k_magmas for every k in [k_lo, k_hi], fixed n."""
     if not (0 <= k_lo <= k_hi):
         raise ValueError(f"bad range [{k_lo}, {k_hi}]")
-    return [count_k_magmas(n, k, variant, jobs) for k in range(k_lo, k_hi + 1)]
+    return [count_k_magmas(n, k, variant) for k in range(k_lo, k_hi + 1)]

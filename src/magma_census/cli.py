@@ -68,7 +68,7 @@ def cmd_count(args, config: RunConfig) -> int:
             args.n, args.k, args.variant, config.perm_guard
         )
     else:
-        result = census.count_k_magmas(args.n, args.k, args.variant, config.jobs)
+        result = census.count_k_magmas(args.n, args.k, args.variant)
     if args.format == FORMAT_JSON:
         print(_count_json(result))
     else:
@@ -78,11 +78,9 @@ def cmd_count(args, config: RunConfig) -> int:
 
 def cmd_sequence(args, config: RunConfig) -> int:
     if args.vary == "k":
-        results = census.sequence_in_k(
-            args.n, args.lo, args.hi, args.variant, config.jobs
-        )
+        results = census.sequence_in_k(args.n, args.lo, args.hi, args.variant)
     else:
-        results = census.sequence(args.k, args.lo, args.hi, args.variant, config.jobs)
+        results = census.sequence(args.k, args.lo, args.hi, args.variant)
     indices = range(args.lo, args.hi + 1)
     if args.format == FORMAT_BFILE:
         for i, r in zip(indices, results):
@@ -245,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
         if formats is not None:
             p.add_argument("--format", choices=formats, default=FORMAT_PLAIN)
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker count; MAGMA_CENSUS_JOBS, then CPU count")
+                       help="worker count for verify's brute-force oracle; "
+                            "MAGMA_CENSUS_JOBS, then CPU count (count and "
+                            "sequence accept it and run serially)")
         p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP,
                        help="enumeration cap on n^(n^k)")
         p.add_argument("--perm-guard", type=int, default=census.DEFAULT_PERM_GUARD,

@@ -113,10 +113,7 @@ class CycleIndexPoly:
 
 
 def _weight(j: CycleType) -> Fraction:
-    denom = 1
-    for i, c in enumerate(j.j, start=1):
-        denom *= i**c * math.factorial(c)
-    return Fraction(1, denom)
+    return Fraction(cycle_type_count(j), math.factorial(j.n))
 
 
 def cycle_index_direct(n: int) -> CycleIndexPoly:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -181,12 +180,15 @@ def count_orbits_bruteforce(
     """Number of isomorphism classes, by counting lex-least orbit representatives.
 
     Shards across processes by the first entry when jobs > 1; shard counts
-    add up independently of order, so the total is deterministic.
+    add up independently of order, so the total is deterministic. The pool
+    module is imported only here, keeping it off every command's startup.
     """
     _guarded_total(n, k, cap)
     jobs = max(1, min(jobs, n))
     if jobs == 1:
         return _count_canonical_shard((n, k, 0, 1))
+    from concurrent.futures import ProcessPoolExecutor
+
     shards = [(n, k, s, jobs) for s in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return sum(pool.map(_count_canonical_shard, shards))

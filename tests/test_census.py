@@ -13,15 +13,17 @@ from magma_census import (
     count_k_magmas,
     count_via_cycle_index,
     count_via_permutation_sum,
+    cycle_index_direct,
     cycle_type_of,
     enumerate_cycle_types,
     fixed_point_count,
     fixed_point_count_harrison,
+    induce,
     realize_cycle_type,
     sequence,
     weighted_divisor_sum,
 )
-from magma_census.census import sequence_in_k
+from magma_census.census import _induce_harrison, sequence_in_k
 from magma_census.oracle import fixed_tables_enumerated
 
 
@@ -44,6 +46,34 @@ def test_fixed_point_count_empty_set():
     assert fixed_point_count(empty, 0) == 0
     for k in range(1, 6):
         assert fixed_point_count(empty, k) == 1
+        assert fixed_point_count_harrison(empty, k) == 1
+
+
+def _substituted(mono):
+    j = mono.origin
+    return math.prod(weighted_divisor_sum(j, i) ** e for i, e in mono.exponents)
+
+
+def test_fixed_point_count_matches_induced_monomial():
+    # The folded kernel against the literal per-tuple loop in induce, with
+    # the divisor sum taken over divisors rather than over the support.
+    for n in range(0, 10):
+        z = cycle_index_direct(n)
+        for k in range(0, 5):
+            for _, mono in induce(z, k).terms:
+                assert fixed_point_count(mono.origin, k) == _substituted(mono), (
+                    f"n={n} k={k} j={mono.origin.j}"
+                )
+
+
+def test_fixed_point_count_harrison_matches_induced_monomial():
+    for n in range(0, 10):
+        z = cycle_index_direct(n)
+        for k in range(1, 5):
+            for _, mono in _induce_harrison(z, k).terms:
+                assert fixed_point_count_harrison(mono.origin, k) == _substituted(
+                    mono
+                ), f"n={n} k={k} j={mono.origin.j}"
 
 
 def test_fixed_point_count_arity_zero_counts_fixed_points():
@@ -95,11 +125,6 @@ def test_count_degenerate_shapes():
         assert count_k_magmas(0, k).count == 1
 
 
-def test_count_jobs_bit_identical():
-    for n in range(0, 6):
-        assert count_k_magmas(n, 2, jobs=3).count == count_k_magmas(n, 2).count
-
-
 def test_permutation_sum_matches_partition_sum():
     for n in range(0, 6):
         for k in range(0, 4):
@@ -124,6 +149,11 @@ def test_cycle_index_route_matches():
     for n in range(0, 7):
         for k in range(0, 4):
             assert count_via_cycle_index(n, k).count == count_k_magmas(n, k).count
+
+
+def test_cycle_index_route_matches_at_moderate_size():
+    for n, k in ((24, 2), (12, 3)):
+        assert count_via_cycle_index(n, k).count == count_k_magmas(n, k).count
 
 
 def test_cycle_index_route_harrison():

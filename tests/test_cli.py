@@ -171,3 +171,16 @@ def test_identical_flags_identical_bytes():
     b = run_cli("sequence", "--k", "2", "--from", "0", "--to", "4")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+def test_cli_import_starts_no_pool_machinery():
+    # Process pools are a verify-only cost; importing them at startup
+    # slows every command, including the ones that never shard.
+    code = (
+        "import sys, magma_census.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
