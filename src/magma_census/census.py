@@ -7,12 +7,22 @@ over all of S_n (grouped by cycle type, weighted by how many permutations
 share it) gives the number of isomorphism classes.
 
 The closed form never visits the |support(j)|^k ordered tuples of cycle
-lengths. An i-cycle paired with a j-cycle gives gcd(i, j) cycles of length
-lcm(i, j), so the k coordinates fold in one at a time into a map from
-tuple-cycle length to summed weight, and each distinct length costs one
-bigint power. The weighted sum over cycle types is kept in exact integers,
-fpc(j) * n!/z_j, and divided by n! once at the end; it runs serially in the
-calling process.
+lengths, and never builds the cycle types one by one. An i-cycle paired
+with a j-cycle gives gcd(i, j) cycles of length lcm(i, j), so the tuples
+are folded into maps F_0..F_k, F_m sending each tuple-cycle length L to the
+summed weight of the m-tuples with lcm L. The parts (r, j_r) of a cycle
+type join one at a time: an m-tuple over the grown support holds r at a of
+its places, C(m, a) ways, so
+F'_m = F_m + sum_{a=1..m} C(m, a) (r j_r)^a (F_{m-a} with each L -> lcm(L, r)).
+count_k_magmas walks the partitions of n depth first in multiplicity form,
+carrying that fold and z_j = prod_i i^{j_i} j_i! down the tree, so
+neighbouring cycle types share the work for the parts they share; each
+leaf pays one bigint power per distinct L. The weighted sum
+fpc(j) * n!/z_j is kept in exact integers and divided by n! once at the
+end, after checking that the weights n!/z_j sum to n! exactly, which a
+single missed or repeated cycle type cannot pass. It runs serially in the
+calling process. fixed_point_count applies the same part update to one
+cycle type's support.
 
 Three independent evaluation routes are kept deliberately separate: the
 partition-weighted sum, the literal average over all n! permutations, and
@@ -32,14 +42,13 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator, NamedTuple
 
 from .arith import (
     CycleType,
     all_perms,
-    cycle_type_count,
     cycle_type_of,
     divisors,
-    enumerate_cycle_types,
     gcd_list,
     lcm_list,
 )
@@ -116,13 +125,110 @@ def weighted_divisor_sum(j: CycleType, m: int) -> int:
     return sum(d * j.cycles_of_length(d) for d in divisors(m))
 
 
-def _power_product(cycles: list[tuple[int, int]], exponents: dict[int, int]) -> int:
-    # prod_L (sum of r * j_r over support r dividing L) ** exponents[L]: the
-    # weighted divisor sum, read off the support instead of the divisors of L.
-    total = 1
-    for length, e in exponents.items():
-        total *= sum(weight for r, weight in cycles if length % r == 0) ** e
-    return total
+class _Kernel(NamedTuple):
+    """How one variant keys, weighs and closes the part-by-part fold.
+
+    seed is the key of the empty tuple; rekey(key, r) is the key once an
+    r-cycle joins the tuple. The correct count keys by lcm alone and weighs
+    a part (r, c) by r*c; the gcd variant keys by (lcm, gcd), weighs by c,
+    and seeds gcd with 0 since gcd(0, r) = r.
+    """
+
+    variant: str
+    seed: object
+    rekey: Callable
+
+    def weight(self, r: int, c: int) -> int:
+        return r * c if self.variant == VARIANT_CORRECT else c
+
+    def fixed_points(self, top: dict, parts: tuple | list, k: int) -> int:
+        # prod_L (sum of r*c over parts (r, r*c) with r dividing L) ** e_L:
+        # the weighted divisor sum, read off the parts instead of the
+        # divisors of L. For the correct count e_L = W_L / L. The gcd
+        # variant's exponent sums g*W over its (L, g) keys (W alone at
+        # arity 1); it is scaled by L here so that the same division
+        # recovers it.
+        if self.variant == VARIANT_HARRISON:
+            scaled: dict[int, int] = {}
+            for (length, g), w in top.items():
+                e = g * w if k >= 2 else w
+                scaled[length] = scaled.get(length, 0) + e * length
+            top = scaled
+        total = 1
+        for length, w in top.items():
+            total *= sum([s for r, s in parts if length % r == 0]) ** (w // length)
+        return total
+
+
+def _harrison_key(key: tuple[int, int], r: int) -> tuple[int, int]:
+    length, g = key
+    return math.lcm(length, r), math.gcd(g, r)
+
+
+_KERNELS = {
+    VARIANT_CORRECT: _Kernel(VARIANT_CORRECT, 1, math.lcm),
+    VARIANT_HARRISON: _Kernel(VARIANT_HARRISON, (1, 0), _harrison_key),
+}
+
+
+def _kernel(variant: str, k: int) -> _Kernel:
+    if k < 0:
+        raise ValueError(f"negative arity {k}")
+    if variant == VARIANT_HARRISON and k < 1:
+        raise ValueError(f"gcd variant needs arity >= 1, got {k}")
+    return _KERNELS[variant]
+
+
+def _empty_fold(kernel: _Kernel, k: int) -> list[dict]:
+    # F_0 holds the one empty tuple; no m-tuple with m >= 1 exists yet.
+    return [{kernel.seed: 1}] + [{} for _ in range(k)]
+
+
+def _rekeyed(fold: list[dict], r: int, rekey: Callable) -> list[dict]:
+    # F_i (x) r for i < k: every key moved to rekey(key, r), weights summed.
+    moved = []
+    for i in range(len(fold) - 1):
+        out: dict = {}
+        for key, w in fold[i].items():
+            m = rekey(key, r)
+            out[m] = out.get(m, 0) + w
+        moved.append(out)
+    return moved
+
+
+def _add_part(fold: list[dict], moved: list[dict], w: int, lowest: int = 1) -> list[dict]:
+    """Fold one part of weight w into F_0..F_k; moved is _rekeyed(fold, r).
+
+    An m-tuple over the grown support puts the new cycle length r at some
+    a of its m places, C(m, a) ways, and the other m - a places form a
+    tuple over the old support, so
+    F'_m = F_m + sum_{a=1..m} C(m, a) * w^a * (F_{m-a} (x) r).
+    Entries below lowest are passed through unchanged; a leaf needs only
+    F_k and passes lowest = k.
+    """
+    k = len(fold) - 1
+    out = fold[:lowest]
+    for m in range(lowest, k + 1):
+        acc = fold[m].copy()
+        get = acc.get
+        power = 1
+        for a in range(1, m + 1):
+            power *= w
+            coeff = math.comb(m, a) * power
+            for key, v in moved[m - a].items():
+                acc[key] = get(key, 0) + coeff * v
+        out.append(acc)
+    return out
+
+
+def _per_type(j: CycleType, k: int, kernel: _Kernel) -> int:
+    fold = _empty_fold(kernel, k)
+    parts = []
+    for r, c in enumerate(j.j, start=1):
+        if c:
+            fold = _add_part(fold, _rekeyed(fold, r, kernel.rekey), kernel.weight(r, c))
+            parts.append((r, r * c))
+    return kernel.fixed_points(fold[k], parts, k)
 
 
 def fixed_point_count(j: CycleType, k: int) -> int:
@@ -131,25 +237,14 @@ def fixed_point_count(j: CycleType, k: int) -> int:
     Product over ordered k-tuples (r_1, ..., r_k) of cycle lengths in the
     support of j: each tuple contributes the weighted divisor sum of
     L = lcm(r_1, ..., r_k) raised to (r_1*...*r_k / L) * j_{r_1}*...*j_{r_k}.
-    Computed by folding the coordinates one at a time into a map from L to
-    the summed weight prod r_i * j_{r_i}; the exponent of L is that weight
-    over L, and each distinct L pays one power. The empty ground set gives
-    1 for k >= 1 (empty product) and 0 for k = 0, where the lone factor is
-    j_1^1 = 0^1.
+    Computed by folding the parts (r, j_r) of j in one at a time, the same
+    update count_k_magmas applies down its walk: F_m maps each L to the
+    summed weight prod r_i * j_{r_i} of the m-tuples with lcm L, so the
+    exponent of L is F_k[L] / L and each distinct L pays one power. The
+    empty ground set gives 1 for k >= 1 (empty product) and 0 for k = 0,
+    where the lone factor is j_1^1 = 0^1.
     """
-    if k < 0:
-        raise ValueError(f"negative arity {k}")
-    cycles = [(r, r * c) for r, c in enumerate(j.j, start=1) if c]
-    lcm = math.lcm
-    weights = {1: 1}
-    for _ in range(k):
-        folded: dict[int, int] = {}
-        for length, w in weights.items():
-            for r, weight in cycles:
-                m = lcm(length, r)
-                folded[m] = folded.get(m, 0) + w * weight
-        weights = folded
-    return _power_product(cycles, {m: w // m for m, w in weights.items()})
+    return _per_type(j, k, _kernel(VARIANT_CORRECT, k))
 
 
 def fixed_point_count_harrison(j: CycleType, k: int) -> int:
@@ -159,53 +254,71 @@ def fixed_point_count_harrison(j: CycleType, k: int) -> int:
     = r * s; from arity 3 on the gcd undercounts the chains each entry
     determines. Arity 1 has a single cycle length per tuple and multiplier
     1 either way; arity 0 is rejected, as there is no gcd of nothing.
-    Folds like fixed_point_count, keyed by (lcm, gcd) with weight
-    prod j_{r_i}; gcd(0, r) = r seeds the first coordinate.
+    Folds the parts like fixed_point_count, keyed by (lcm, gcd) with
+    weight prod j_{r_i}.
     """
-    if k < 1:
-        raise ValueError(f"gcd variant needs arity >= 1, got {k}")
-    lcm, gcd = math.lcm, math.gcd
-    counts = [(r, c) for r, c in enumerate(j.j, start=1) if c]
-    weights = {(1, 0): 1}
-    for _ in range(k):
-        folded: dict[tuple[int, int], int] = {}
-        for (length, g), w in weights.items():
-            for r, c in counts:
-                key = (lcm(length, r), gcd(g, r))
-                folded[key] = folded.get(key, 0) + w * c
-        weights = folded
-    exponents: dict[int, int] = {}
-    for (length, g), w in weights.items():
-        exponents[length] = exponents.get(length, 0) + (g * w if k >= 2 else w)
-    return _power_product([(r, r * c) for r, c in counts], exponents)
+    return _per_type(j, k, _kernel(VARIANT_HARRISON, k))
 
 
-def _variant_fpc(variant: str):
-    if variant == VARIANT_CORRECT:
-        return fixed_point_count
-    if variant == VARIANT_HARRISON:
-        return fixed_point_count_harrison
-    raise ValueError(f"unknown variant {variant!r}")
+def _cycle_type_terms(n: int, k: int, kernel: _Kernel) -> Iterator[tuple[int, int]]:
+    # (fixed points, n!/z_j) for every cycle type j of n, each once. Depth
+    # first over partitions in multiplicity form: parts join in ascending
+    # size r, with a count c >= 1, and only larger parts follow, so a
+    # remainder in (0, r] cannot complete and is never entered. The edge
+    # adding (r, c) multiplies z by r^c c!, appends (r, r*c) to the parts
+    # and folds the part in; the rekeyed maps are shared by every c of r.
+    factorial = math.factorial(n)
+    rekey, weight = kernel.rekey, kernel.weight
+    if n == 0:
+        yield kernel.fixed_points(_empty_fold(kernel, k)[k], (), k), 1
+        return
+    stack = [(n, 1, 1, (), _empty_fold(kernel, k))]
+    while stack:
+        remaining, low, denom, parts, fold = stack.pop()
+        # Past remaining // 2 only the single part r = remaining completes.
+        for r in [*range(low, remaining // 2 + 1), remaining]:
+            moved = _rekeyed(fold, r, rekey)
+            z = denom
+            for c in range(1, remaining // r + 1):
+                z *= r * c
+                rest = remaining - r * c
+                if 0 < rest <= r:
+                    continue
+                grown = parts + ((r, r * c),)
+                if rest == 0:
+                    top = _add_part(fold, moved, weight(r, c), k)[k]
+                    yield kernel.fixed_points(top, grown, k), factorial // z
+                else:
+                    child = _add_part(fold, moved, weight(r, c))
+                    stack.append((rest, r + 1, z, grown, child))
 
 
 def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
     """Number of isomorphism classes of k-ary operations on n elements.
 
-    Sums fixed_point_count(j, k) * n!/z_j over the cycle types j of n as
-    they are enumerated, z_j = prod_i i^{j_i} j_i!, in exact integers, and
-    divides the total by n! with one divmod; a remainder raises. Serial and
-    in enumeration order, so the result is the same bit for bit on every
-    run.
+    Sums fixed_point_count(j, k) * n!/z_j over the cycle types j of n,
+    z_j = prod_i i^{j_i} j_i!, in exact integers, and divides the total by
+    n! with one divmod; a remainder raises. The cycle types are never
+    built one by one: a single depth-first walk over the partitions of n
+    carries z_j and the part-by-part fold down the tree, so neighbouring
+    types share every part they have in common. The weights n!/z_j must
+    sum to n! exactly, which also catches a single type visited twice or
+    missed; anything else raises. Serial and in a fixed order, so the
+    result is the same bit for bit on every run.
     """
     start = time.perf_counter()
     query = CensusQuery(n, k, variant, METHOD_PARTITION)
-    fpc = _variant_fpc(variant)
-    total = 0
-    terms = 0
-    for j in enumerate_cycle_types(n):
-        total += fpc(j, k) * cycle_type_count(j)
+    total = weights = terms = 0
+    for fpc, weight in _cycle_type_terms(n, k, _kernel(variant, k)):
+        total += fpc * weight
+        weights += weight
         terms += 1
-    count, remainder = divmod(total, math.factorial(n))
+    factorial = math.factorial(n)
+    if weights != factorial:
+        raise ArithmeticError(
+            f"cycle-type weights sum to {weights}, not {n}! = {factorial}"
+        )
+    count, remainder = divmod(total, factorial)
     if remainder:
         raise ArithmeticError(
             f"non-integral class count: remainder {remainder} mod {n}! at n={n} k={k}"
@@ -229,14 +342,14 @@ def count_via_permutation_sum(
         raise GuardError(f"n={n} exceeds the permutation-sum guard of {perm_guard}")
     start = time.perf_counter()
     query = CensusQuery(n, k, variant, METHOD_PERMUTATION)
-    fpc = _variant_fpc(variant)
+    kernel = _kernel(variant, k)
     cache: dict[tuple[int, ...], int] = {}
     total = 0
     terms = 0
     for p in all_perms(n):
         j = cycle_type_of(p)
         if j.j not in cache:
-            cache[j.j] = fpc(j, k)
+            cache[j.j] = _per_type(j, k, kernel)
         total += cache[j.j]
         terms += 1
     avg = Fraction(total, math.factorial(n))
@@ -281,17 +394,22 @@ def count_via_cycle_index(n: int, k: int, variant: str = VARIANT_CORRECT) -> Cen
 
 def sequence(
     k: int, n_lo: int, n_hi: int, variant: str = VARIANT_CORRECT
-) -> list[CensusResult]:
-    """count_k_magmas for every n in [n_lo, n_hi], in order."""
+) -> Iterator[CensusResult]:
+    """count_k_magmas for every n in [n_lo, n_hi], in order.
+
+    The range is checked at the call; each count is computed only as the
+    returned iterator reaches it, so a caller can emit it at once.
+    """
     if not (0 <= n_lo <= n_hi):
         raise ValueError(f"bad range [{n_lo}, {n_hi}]")
-    return [count_k_magmas(n, k, variant) for n in range(n_lo, n_hi + 1)]
+    return (count_k_magmas(n, k, variant) for n in range(n_lo, n_hi + 1))
 
 
 def sequence_in_k(
     n: int, k_lo: int, k_hi: int, variant: str = VARIANT_CORRECT
-) -> list[CensusResult]:
-    """count_k_magmas for every k in [k_lo, k_hi], fixed n."""
+) -> Iterator[CensusResult]:
+    """count_k_magmas for every k in [k_lo, k_hi], fixed n, computed lazily
+    like sequence."""
     if not (0 <= k_lo <= k_hi):
         raise ValueError(f"bad range [{k_lo}, {k_hi}]")
-    return [count_k_magmas(n, k, variant) for k in range(k_lo, k_hi + 1)]
+    return (count_k_magmas(n, k, variant) for k in range(k_lo, k_hi + 1))

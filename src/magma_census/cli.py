@@ -1,14 +1,16 @@
 """Command-line driver: counts, sequences, cycle indices, verification sweeps.
 
 Stdout carries data only, formatted exactly as requested; anything meant
-for a human mid-run goes to stderr. Exit codes are a stable contract:
-0 success, 1 a verification suite failed, 2 usage error, 3 a feasibility
-guard refused the request.
+for a human mid-run goes to stderr. Counts print as exact decimals at any
+size. Exit codes are a stable contract: 0 success, 1 a verification suite
+failed, 2 usage error (argument problems only, all found before any work
+starts), 3 a feasibility guard refused the request.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import random
 import sys
@@ -49,17 +51,76 @@ class RunConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
-def _count_json(result: census.CensusResult) -> str:
+# str() is used up to the interpreter's default digit limit. A value of at
+# most d * 3.321 bits is below 2^(d * 3.321) < 10^d (log2(10) = 3.3219...),
+# so it has at most d digits.
+_STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+_BITS_PER_DIGIT_FLOOR = 3.321
+# Below this many bits a block goes to Decimal directly.
+_DECIMAL_BLOCK_BITS = 128
+
+
+def decimal_string(value: int) -> str:
+    """The exact decimal digits of value, at any size.
+
+    str() refuses ints past the interpreter's digit limit (4300 digits by
+    default) and is quadratic in the digit count besides. Up to that limit,
+    and never past its default, this is str(). Above it the value is split
+    into binary halves, hi * 2^w + lo, each half converted recursively and
+    recombined in exact stdlib decimal arithmetic, whose multiplication is
+    subquadratic. This is the scheme of CPython 3.12's Lib/_pylong.py. The
+    interpreter's limit itself is never changed.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = min(limit, _STR_DIGITS) if limit else _STR_DIGITS
+    if abs(value).bit_length() <= int(digits * _BITS_PER_DIGIT_FLOOR):
+        return str(value)
+    sign = "-" if value < 0 else ""
+    return sign + _decimal_digits(abs(value))
+
+
+def _decimal_digits(value: int) -> str:
+    D = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power_of_two(w: int) -> decimal.Decimal:
+        # 2^w as a Decimal, memoized: the same widths recur on every level.
+        if w not in powers:
+            if w <= _DECIMAL_BLOCK_BITS:
+                powers[w] = D(2) ** w
+            elif w - 1 in powers:
+                powers[w] = powers[w - 1] * 2
+            else:
+                half = w >> 1
+                powers[w] = power_of_two(half) * power_of_two(w - half)
+        return powers[w]
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        # n < 2^w.
+        if w <= _DECIMAL_BLOCK_BITS:
+            return D(n)
+        half = w >> 1
+        hi = n >> half
+        lo = n - (hi << half)
+        return convert(lo, half) + convert(hi, w - half) * power_of_two(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(value, value.bit_length()))
+
+
+def _count_record(result: census.CensusResult) -> dict:
     # Counts travel as decimal strings: consumers with 64-bit JSON numbers
     # must still round-trip values like 178981952 and far beyond.
-    return json.dumps(
-        {
-            "n": result.query.n,
-            "k": result.query.k,
-            "variant": result.query.variant,
-            "count": str(result.count),
-        }
-    )
+    return {
+        "n": result.query.n,
+        "k": result.query.k,
+        "variant": result.query.variant,
+        "count": decimal_string(result.count),
+    }
 
 
 def cmd_count(args, config: RunConfig) -> int:
@@ -70,26 +131,24 @@ def cmd_count(args, config: RunConfig) -> int:
     else:
         result = census.count_k_magmas(args.n, args.k, args.variant)
     if args.format == FORMAT_JSON:
-        print(_count_json(result))
+        print(json.dumps(_count_record(result)))
     else:
-        print(result.count)
+        print(decimal_string(result.count))
     return EXIT_OK
 
 
 def cmd_sequence(args, config: RunConfig) -> int:
+    # Plain and bfile lines go out as each count is done; JSON is one list.
     if args.vary == "k":
         results = census.sequence_in_k(args.n, args.lo, args.hi, args.variant)
     else:
         results = census.sequence(args.k, args.lo, args.hi, args.variant)
-    indices = range(args.lo, args.hi + 1)
-    if args.format == FORMAT_BFILE:
-        for i, r in zip(indices, results):
-            print(f"{i} {r.count}")
-    elif args.format == FORMAT_JSON:
-        print(json.dumps([json.loads(_count_json(r)) for r in results]))
-    else:
-        for r in results:
-            print(r.count)
+    if args.format == FORMAT_JSON:
+        print(json.dumps([_count_record(r) for r in results]))
+        return EXIT_OK
+    for index, r in zip(range(args.lo, args.hi + 1), results):
+        value = decimal_string(r.count)
+        print(f"{index} {value}" if args.format == FORMAT_BFILE else value, flush=True)
     return EXIT_OK
 
 
@@ -292,12 +351,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args, parser: argparse.ArgumentParser):
+    # Every argument problem is found here and reported through
+    # parser.error (exit 2) before any work starts; a ValueError raised
+    # later is an internal fault, not a usage error.
     if getattr(args, "n", None) is not None and args.n < 0:
         parser.error(f"--n must be >= 0, got {args.n}")
     if getattr(args, "k", None) is not None and args.k < 0:
         parser.error(f"--k must be >= 0, got {args.k}")
     if getattr(args, "power", None) is not None and args.power < 0:
         parser.error(f"--power must be >= 0, got {args.power}")
+    if args.max_cells < 1:
+        parser.error(f"--max-cells must be >= 1, got {args.max_cells}")
+    if args.jobs is None:
+        try:
+            args.jobs = default_jobs()
+        except ValueError as e:
+            parser.error(str(e))
+    elif args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.command == "sequence":
         if not (0 <= args.lo <= args.hi):
             parser.error(f"bad range [{args.lo}, {args.hi}]")
@@ -305,6 +376,10 @@ def _validate(args, parser: argparse.ArgumentParser):
             parser.error("--k is required when varying n")
         if args.vary == "k" and args.n is None:
             parser.error("--n is required when varying k")
+    if getattr(args, "variant", None) == census.VARIANT_HARRISON:
+        arity_from = args.lo if getattr(args, "vary", "n") == "k" else args.k
+        if arity_from == 0:
+            parser.error("--variant harrison-gcd needs arity >= 1")
     if args.command == "verify":
         if args.n_max < 0 or args.k_max < 0:
             parser.error("--n-max and --k-max must be >= 0")
@@ -314,16 +389,12 @@ def entry_point(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
+    config = RunConfig(args.max_cells, args.perm_guard, args.jobs, args.seed)
     try:
-        jobs = args.jobs if args.jobs is not None else default_jobs()
-        config = RunConfig(args.max_cells, args.perm_guard, jobs, args.seed)
         return args.func(args, config)
     except (GuardError, EnumerationCapError) as e:
         print(e, file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as e:
-        print(e, file=sys.stderr)
-        return EXIT_USAGE
     except ArithmeticError as e:
         # A sum that refutes its own integrality; reachable through the
         # gcd variant outside its documented range (first at n=7, k=3).

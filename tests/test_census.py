@@ -23,8 +23,11 @@ from magma_census import (
     sequence,
     weighted_divisor_sum,
 )
+from magma_census import arith, census
 from magma_census.census import _induce_harrison, sequence_in_k
 from magma_census.oracle import fixed_tables_enumerated
+
+from conftest import partition_count
 
 
 def test_weighted_divisor_sum_skips_large_divisors():
@@ -146,9 +149,13 @@ def test_permutation_sum_guard():
 
 
 def test_cycle_index_route_matches():
-    for n in range(0, 7):
-        for k in range(0, 4):
-            assert count_via_cycle_index(n, k).count == count_k_magmas(n, k).count
+    # The walk over the partition tree against the literal per-tuple
+    # induction, summed through the divisors: no code in common.
+    for n in range(0, 13):
+        for k in range(0, 5):
+            assert count_via_cycle_index(n, k).count == count_k_magmas(n, k).count, (
+                f"n={n} k={k}"
+            )
 
 
 def test_cycle_index_route_matches_at_moderate_size():
@@ -156,13 +163,52 @@ def test_cycle_index_route_matches_at_moderate_size():
         assert count_via_cycle_index(n, k).count == count_k_magmas(n, k).count
 
 
+def test_terms_evaluated_counts_cycle_types():
+    assert count_k_magmas(40, 2).terms_evaluated == 37338
+    for n in range(0, 21):
+        for k in (0, 3):
+            assert count_k_magmas(n, k).terms_evaluated == partition_count(n)
+        assert count_k_magmas(n, 2, VARIANT_HARRISON).terms_evaluated == (
+            partition_count(n)
+        )
+
+
+def test_walk_builds_no_cycle_type(monkeypatch):
+    expected = count_via_cycle_index(12, 3).count
+
+    def refuse(self):
+        raise AssertionError(f"CycleType built: {self.j}")
+
+    monkeypatch.setattr(arith.CycleType, "__post_init__", refuse)
+    assert count_k_magmas(12, 3).count == expected
+    assert count_k_magmas(9, 2, VARIANT_HARRISON).terms_evaluated == 30
+
+
+@pytest.mark.parametrize("fault", ["lost", "repeated"])
+def test_weight_sum_check_catches_a_wrong_walk(monkeypatch, fault):
+    walk = census._cycle_type_terms
+
+    def faulty(n, k, kernel):
+        terms = walk(n, k, kernel)
+        first = next(terms)
+        if fault == "repeated":
+            yield first
+            yield first
+        yield from terms
+
+    monkeypatch.setattr(census, "_cycle_type_terms", faulty)
+    with pytest.raises(ArithmeticError, match="weights"):
+        count_k_magmas(6, 2)
+
+
 def test_cycle_index_route_harrison():
-    for n in range(0, 7):
-        for k in range(1, 4):
-            assert (
-                count_via_cycle_index(n, k, VARIANT_HARRISON).count
-                == count_k_magmas(n, k, VARIANT_HARRISON).count
-            )
+    shapes = [(n, k) for n in range(0, 13) for k in (1, 2)]
+    shapes += [(n, 3) for n in range(0, 7)]
+    for n, k in shapes:
+        assert (
+            count_via_cycle_index(n, k, VARIANT_HARRISON).count
+            == count_k_magmas(n, k, VARIANT_HARRISON).count
+        ), f"n={n} k={k}"
 
 
 def test_harrison_average_stops_being_integral():
@@ -187,6 +233,23 @@ def test_sequence_fixed_n_column():
     assert counts == [3, 10, 136, 32896, 2147516416]
     closed = [2 ** (2**k - 1) + 2 ** (2 ** (k - 1) - 1) for k in range(1, 6)]
     assert counts == closed
+
+
+def test_sequence_is_lazy(monkeypatch):
+    calls = []
+    real = census.count_k_magmas
+
+    def counted(n, k, variant=VARIANT_CORRECT):
+        calls.append((n, k))
+        return real(n, k, variant)
+
+    monkeypatch.setattr(census, "count_k_magmas", counted)
+    rows = sequence(2, 0, 5)
+    columns = sequence_in_k(2, 1, 4)
+    assert calls == []
+    assert next(rows).count == 1
+    assert next(columns).count == 3
+    assert calls == [(0, 2), (2, 1)]
 
 
 def test_sequence_rejects_bad_range():

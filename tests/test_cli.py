@@ -1,8 +1,15 @@
 """End-to-end runs of the installed command line, checked byte for byte."""
 
 import json
+import os
+import select
 import subprocess
 import sys
+
+import pytest
+
+from magma_census import census, cli
+from magma_census.census import count_via_cycle_index
 
 
 def run_cli(*args, env=None):
@@ -12,6 +19,21 @@ def run_cli(*args, env=None):
         text=True,
         env=env,
     )
+
+
+def _default_digit_limit_env():
+    # The interpreter's default str() digit limit, whatever the caller's
+    # environment says, so a lifted limit cannot hide a conversion defect.
+    return {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+
+
+def _unlimited_str(value: int) -> str:
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_count_plain():
@@ -184,3 +206,88 @@ def test_cli_import_starts_no_pool_machinery():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"
+
+
+def test_count_above_str_digit_limit_plain_and_json():
+    expected = _unlimited_str(count_via_cycle_index(16, 3).count)
+    assert len(expected) > 4300
+    env = _default_digit_limit_env()
+    r = run_cli("count", "--n", "16", "--k", "3", env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == expected + "\n"
+    r = run_cli("count", "--n", "16", "--k", "3", "--format", "json", env=env)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {
+        "n": 16, "k": 3, "variant": "correct", "count": expected,
+    }
+
+
+def test_sequence_above_str_digit_limit_bfile():
+    expected = "".join(
+        f"{n} {_unlimited_str(count_via_cycle_index(n, 3).count)}\n"
+        for n in (14, 15, 16)
+    )
+    r = run_cli(
+        "sequence", "--k", "3", "--from", "14", "--to", "16", "--format", "bfile",
+        env=_default_digit_limit_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == expected
+
+
+def test_decimal_string_matches_str():
+    values = [0, 7, -12, 10**4300 - 1, 10**4300, -(10**4300) - 1, 2**14280, 2**14281]
+    values += [3**60000, -(7**50001), 10**40000 + 1]
+    for value in values:
+        assert cli.decimal_string(value) == _unlimited_str(value)
+
+
+def test_sequence_streams_lines():
+    # n = 60 alone takes minutes; the small counts must arrive before it.
+    p = subprocess.Popen(
+        [sys.executable, "-m", "magma_census", "sequence", "--k", "2",
+         "--from", "0", "--to", "60", "--format", "bfile"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    try:
+        lines = []
+        while len(lines) < 4:
+            ready, _, _ = select.select([p.stdout], [], [], 30)
+            assert ready, f"no line within 30 s after {lines}"
+            lines.append(p.stdout.readline())
+        assert lines == ["0 1\n", "1 1\n", "2 10\n", "3 3330\n"]
+    finally:
+        p.kill()
+        p.wait(timeout=30)
+        p.stdout.close()
+
+
+def test_argument_problems_exit_2_before_work():
+    cases = [
+        ("count", "--n", "2", "--k", "2", "--jobs", "0"),
+        ("count", "--n", "2", "--k", "2", "--max-cells", "0"),
+        ("verify", "--suite", "variant", "--max-cells", "0"),
+        ("sequence", "--k", "0", "--from", "0", "--to", "3", "--variant", "harrison-gcd"),
+        ("sequence", "--vary", "k", "--n", "2", "--from", "0", "--to", "3",
+         "--variant", "harrison-gcd"),
+    ]
+    for args in cases:
+        r = run_cli(*args)
+        assert r.returncode == 2, args
+        assert r.stdout == "", args
+    for bad in ("two", "0"):
+        env = dict(os.environ, MAGMA_CENSUS_JOBS=bad)
+        r = run_cli("count", "--n", "2", "--k", "2", env=env)
+        assert r.returncode == 2, bad
+        assert "MAGMA_CENSUS_JOBS" in r.stderr
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(census, "count_k_magmas", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.entry_point(["count", "--n", "3", "--k", "2", "--jobs", "1"])
