@@ -4,7 +4,8 @@ Stdout carries data only, formatted exactly as requested; anything meant
 for a human mid-run goes to stderr. Counts print as exact decimals at any
 size. Exit codes are a stable contract: 0 success, 1 a verification suite
 failed, 2 usage error (argument problems only, all found before any work
-starts), 3 a feasibility guard refused the request.
+starts), 3 a feasibility guard refused the request, 141 the reader
+closed stdout before the output was done (as shells report SIGPIPE).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_SEED = 1729
 
@@ -391,7 +394,17 @@ def entry_point(argv=None) -> int:
     _validate(args, parser)
     config = RunConfig(args.max_cells, args.perm_guard, args.jobs, args.seed)
     try:
-        return args.func(args, config)
+        status = args.func(args, config)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader stopped early (`| head`); nothing failed here. Point
+        # stdout at the null device so the interpreter's final flush of
+        # what is still buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (GuardError, EnumerationCapError) as e:
         print(e, file=sys.stderr)
         return EXIT_GUARD

@@ -9,11 +9,23 @@ when some relabeling maps one onto the other.
 Everything here recounts what the closed-form side computes, by routes that
 share no code with it: explicit orbit enumeration over every table, and a
 structural per-permutation fixed-table count read off the cell cycles.
+
+The orbit count is a literal lex-least test against every relabeling in
+S_n, run over the tables in lexicographic order. Comparing a table with its
+relabeling up to the first differing cell c reads only cells c' and the
+cells they are drawn from, c' <= c; call the largest of those the reach.
+When a relabeling comes out smaller, every table agreeing with this one up
+to the reach comes out smaller under the same relabeling, so the whole
+block of them is rejected without being tested: the principle of orderly
+generation (R. C. Read, "Every one a winner", Ann. Discrete Math. 2, 1978).
+No table the definition would accept is ever skipped, so the count is
+exact.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -73,6 +85,21 @@ def decode_cell(n: int, k: int, c: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
+def _cell_images(images: Sequence[int], k: int) -> list[int]:
+    """Cell images of the point map images, acting coordinatewise on k-tuples.
+
+    Cells are numbered in mixed radix with the first coordinate most
+    significant, so cell h * n + x holds the tuple of cell h extended by x,
+    and its image is image(h) * n + images[x]. Building the list one
+    coordinate at a time applies that rule to every cell.
+    """
+    n = len(images)
+    cells = [0]
+    for _ in range(k):
+        cells = [h * n + x for h in cells for x in images]
+    return cells
+
+
 @functools.cache
 def cell_permutation(p: Perm, k: int) -> Perm:
     """The permutation p induces on the n^k cells, coordinatewise.
@@ -81,11 +108,7 @@ def cell_permutation(p: Perm, k: int) -> Perm:
     over, and the result is pure. Insertion is idempotent, so races at
     worst recompute.
     """
-    n = p.n
-    images = [0] * n**k
-    for c in range(n**k):
-        images[c] = encode_cell(n, k, apply_tuple(p, decode_cell(n, k, c)))
-    return Perm(tuple(images))
+    return Perm(tuple(_cell_images(p.images, k)))
 
 
 def act(p: Perm, t: OpTable) -> OpTable:
@@ -123,54 +146,65 @@ def _guarded_total(n: int, k: int, cap: int) -> int:
     return total
 
 
-def _relabel_maps(n: int, k: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # One (entry image, inverse cell map) pair per non-identity permutation;
-    # the identity never disturbs minimality and is skipped.
+def _relabel_maps(n: int, k: int) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
+    # One (entry images, inverse cell map, reach) triple per non-identity
+    # relabeling. The relabeled table holds pimg[entries[ic[c]]] at cell c,
+    # so comparing it with entries through cell c reads only the cells c'
+    # and ic[c'] for c' <= c, the largest of which is reach[c]. Permutations
+    # of range(n) come in lexicographic order, identity first; the identity
+    # never disturbs minimality and is skipped.
     maps = []
-    for p in all_perms(n):
-        if p.images == tuple(range(n)):
-            continue
-        ic = cell_permutation(p.inverse(), k).images
-        maps.append((p.images, ic))
+    for images in itertools.islice(itertools.permutations(range(n)), 1, None):
+        inverse = [0] * n
+        for x, y in enumerate(images):
+            inverse[y] = x
+        ic = _cell_images(inverse, k)
+        reach = list(itertools.accumulate(map(max, range(len(ic)), ic), max))
+        maps.append((images, ic, reach))
     return maps
 
 
-def _is_canonical(entries: tuple[int, ...], maps) -> bool:
-    # True when entries is the lexicographically least table in its orbit.
-    # Compares lazily cell by cell and bails at the first decisive cell, so
-    # almost all candidates die within a few comparisons.
-    for pimg, ic in maps:
+def _rejecting_reach(entries: list[int], maps) -> int | None:
+    # None when entries is the lexicographically least table in its orbit.
+    # Otherwise the reach of the first map that yields a smaller table: the
+    # last cell its decisive comparison read. Each comparison runs cell by
+    # cell and stops at the first cell that differs.
+    for pimg, ic, reach in maps:
         for c, e in enumerate(entries):
             r = pimg[entries[ic[c]]]
-            if r < e:
-                return False
-            if r > e:
+            if r != e:
+                if r < e:
+                    return reach[c]
                 break
-    return True
+    return None
 
 
 def _count_canonical_shard(args: tuple[int, int, int, int]) -> int:
     n, k, shard, jobs = args
-    maps = _relabel_maps(n, k)
     cells = n**k
-    count = 0
     if cells == 0:
         return 1 if shard == 0 else 0
-    first_values = range(shard, n, jobs)
-    entries = [0] * cells
-    rest = n ** (cells - 1)
-    for first in first_values:
-        entries[0] = first
-        for c in range(1, cells):
-            entries[c] = 0
-        for _ in range(rest):
-            if _is_canonical(tuple(entries), maps):
+    maps = _relabel_maps(n, k)
+    last = cells - 1
+    count = 0
+    for first in range(shard, n, jobs):
+        # An odometer over entries[1:], in lexicographic order. A map that
+        # rejects entries rejects every table sharing entries[:reach + 1]
+        # too, so the odometer steps at reach and skips the rest of that
+        # block; a canonical table steps it at the last cell.
+        entries = [first] + [0] * last
+        while True:
+            reach = _rejecting_reach(entries, maps)
+            if reach is None:
                 count += 1
-            for pos in range(cells - 1, 0, -1):
-                entries[pos] += 1
-                if entries[pos] < n:
-                    break
-                entries[pos] = 0
+                reach = last
+            entries[reach + 1:] = [0] * (last - reach)
+            while reach > 0 and entries[reach] == n - 1:
+                entries[reach] = 0
+                reach -= 1
+            if reach == 0:
+                break
+            entries[reach] += 1
     return count
 
 
@@ -178,6 +212,14 @@ def count_orbits_bruteforce(
     n: int, k: int, cap: int = DEFAULT_CELL_CAP, jobs: int = 1
 ) -> int:
     """Number of isomorphism classes, by counting lex-least orbit representatives.
+
+    Walks the tables in lexicographic order and tests each against every
+    non-identity relabeling. A relabeling that yields a smaller table
+    decides at some cell, having read entries only up to its reach (see the
+    module docstring); every table sharing those entries is rejected by the
+    same relabeling, so the walk skips to the next prefix. The skipped
+    tables are exactly ones the test would reject, so the count equals the
+    number of lex-least representatives over all n^(n^k) tables.
 
     Shards across processes by the first entry when jobs > 1; shard counts
     add up independently of order, so the total is deterministic. The pool
@@ -199,8 +241,9 @@ def canonical_form(t: OpTable) -> OpTable:
 
     The definition, written straight: act with every permutation and keep
     the minimum. count_orbits_bruteforce never calls this; it tests
-    canonicity with an early exit instead, and the tests confirm both
-    views agree by rebuilding orbit counts from canonical-form sets.
+    canonicity cell by cell instead and skips each block of tables that a
+    rejection already decides, and the tests confirm both views agree by
+    rebuilding orbit counts from canonical-form sets.
     """
     best = t.entries
     for p in all_perms(t.n):

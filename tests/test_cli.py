@@ -264,6 +264,31 @@ def test_sequence_streams_lines():
         p.stdout.close()
 
 
+def test_closed_stdout_is_not_a_failure():
+    # `sequence ... | head -2`: the reader leaves after two lines. That is
+    # neither a failed verification (1) nor a usage error (2), and no
+    # traceback is printed.
+    p = subprocess.Popen(
+        [sys.executable, "-m", "magma_census", "sequence", "--k", "2",
+         "--from", "0", "--to", "30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert [p.stdout.readline(), p.stdout.readline()] == ["1\n", "1\n"]
+        p.stdout.close()
+        status = p.wait(timeout=120)
+        stderr = p.stderr.read()
+    finally:
+        p.kill()
+        p.wait(timeout=30)
+        p.stdout.close()
+        p.stderr.close()
+    assert "Traceback" not in stderr
+    assert status == 141 == cli.EXIT_BROKEN_PIPE
+
+
 def test_argument_problems_exit_2_before_work():
     cases = [
         ("count", "--n", "2", "--k", "2", "--jobs", "0"),

@@ -19,7 +19,10 @@ from magma_census import (
     realize_cycle_type,
     enumerate_cycle_types,
 )
+from magma_census.arith import apply_tuple
 from magma_census.oracle import (
+    _count_canonical_shard,
+    _relabel_maps,
     decode_cell,
     default_jobs,
     encode_cell,
@@ -132,7 +135,7 @@ def test_canonical_form_properties(rng):
 def test_orbit_count_equals_canonical_form_census():
     # The counter never materializes canonical forms; rebuild the census
     # the long way and compare.
-    for n, k in [(2, 2), (2, 3), (3, 1), (3, 2)]:
+    for n, k in [(2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]:
         forms = {canonical_form(t).entries for t in all_tables(n, k)}
         assert len(forms) == count_orbits_bruteforce(n, k)
 
@@ -142,6 +145,10 @@ def test_orbit_count_pinned():
     assert count_orbits_bruteforce(3, 2) == 3330
     assert count_orbits_bruteforce(2, 3) == 136
     assert count_orbits_bruteforce(5, 1) == 47
+    assert count_orbits_bruteforce(6, 1) == 130
+    assert count_orbits_bruteforce(7, 1) == 343
+    assert count_orbits_bruteforce(2, 4) == 32896
+    assert count_orbits_bruteforce(8, 0) == 1
 
 
 def test_orbit_count_degenerate():
@@ -154,6 +161,34 @@ def test_orbit_count_degenerate():
 def test_orbit_count_sharded_matches():
     assert count_orbits_bruteforce(3, 2, jobs=2) == 3330
     assert count_orbits_bruteforce(2, 3, jobs=8) == 136
+    # Every way of sharding by the first entry adds up to the serial count.
+    for n, k in [(6, 1), (3, 2), (2, 4), (7, 0)]:
+        serial = count_orbits_bruteforce(n, k)
+        for jobs in range(1, n + 1):
+            shards = [_count_canonical_shard((n, k, s, jobs)) for s in range(jobs)]
+            assert sum(shards) == serial, (n, k, jobs)
+
+
+def test_relabel_maps_match_the_definition():
+    # Each map is checked against the action written out coordinate by
+    # coordinate, not against the helper that builds it.
+    for n, k in [(2, 1), (2, 3), (3, 2), (4, 1), (4, 2), (5, 1)]:
+        perms = [p for p in all_perms(n) if p != Perm.identity(n)]
+        maps = _relabel_maps(n, k)
+        assert [pimg for pimg, _, _ in maps] == [p.images for p in perms]
+        cells = range(n**k)
+        for p, (_, ic, reach) in zip(perms, maps):
+            q = p.inverse()
+            assert list(ic) == [
+                encode_cell(n, k, apply_tuple(q, decode_cell(n, k, c))) for c in cells
+            ]
+            assert cell_permutation(p, k).images == tuple(
+                encode_cell(n, k, apply_tuple(p, decode_cell(n, k, c))) for c in cells
+            )
+            running = 0
+            for c in cells:
+                running = max(running, c, ic[c])
+                assert reach[c] == running
 
 
 def test_orbit_count_cap():
