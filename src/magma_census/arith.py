@@ -2,7 +2,10 @@
 
 Everything is exact: counts are Python ints (arbitrary precision), no
 floating point anywhere. Ground-set elements are 0-based internally;
-1-based labels appear only in display strings.
+1-based labels appear only in display strings. The one feasibility-guard
+exception and the oracle's default table cap live here too, so that the
+census, the oracle and the command line share them without importing one
+another.
 """
 
 from __future__ import annotations
@@ -11,6 +14,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+# Largest number of tables, n^(n^k), the brute-force oracle may enumerate.
+DEFAULT_CELL_CAP = 2**20
+
+
+class GuardError(Exception):
+    """Raised when a request exceeds a configured feasibility guard."""
 
 
 def lcm_list(xs: Iterable[int]) -> int:

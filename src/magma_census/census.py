@@ -14,15 +14,24 @@ summed weight of the m-tuples with lcm L. The parts (r, j_r) of a cycle
 type join one at a time: an m-tuple over the grown support holds r at a of
 its places, C(m, a) ways, so
 F'_m = F_m + sum_{a=1..m} C(m, a) (r j_r)^a (F_{m-a} with each L -> lcm(L, r)).
+The fixed-point count is then prod_L b_L^(F_k[L] / L), with the base
+b_L = sum of r j_r over the parts r dividing L.
+
 count_k_magmas walks the partitions of n depth first in multiplicity form,
 carrying that fold and z_j = prod_i i^{j_i} j_i! down the tree, so
-neighbouring cycle types share the work for the parts they share; each
-leaf pays one bigint power per distinct L. The weighted sum
-fpc(j) * n!/z_j is kept in exact integers and divided by n! once at the
-end, after checking that the weights n!/z_j sum to n! exactly, which a
-single missed or repeated cycle type cannot pass. It runs serially in the
-calling process. fixed_point_count applies the same part update to one
-cycle type's support.
+neighbouring cycle types share the work for the parts they share. Each
+key L of F_k carries its base: a joining part (r, c) adds r c to the keys
+it divides, and a new key reads its base off the parts once. Parts join
+in ascending size, so every later part t lies in (r, rest], rest being
+what is left of n, and can touch only the keys it divides. A key with no
+divisor in that range is settled: its power b_L^(F_k[L] / L) is
+multiplied into an exact product carried down the tree, and the key is
+retired from F_k. A leaf then pays one bigint power per key still live.
+The weighted sum fpc(j) * n!/z_j is kept in exact integers and divided by
+n! once at the end, after checking that the weights n!/z_j sum to n!
+exactly, which a single missed or repeated cycle type cannot pass. It runs
+serially in the calling process. fixed_point_count takes the same steps
+along the one path that spells its cycle type.
 
 Three independent evaluation routes are kept deliberately separate: the
 partition-weighted sum, the literal average over all n! permutations, and
@@ -41,24 +50,20 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .arith import (
     CycleType,
+    GuardError,
     all_perms,
     cycle_type_of,
     divisors,
     gcd_list,
     lcm_list,
 )
-from .cycle_index import (
-    CycleIndexPoly,
-    Monomial,
-    cycle_index_direct,
-    induce,
-    substitute_per_monomial,
-)
+
+if TYPE_CHECKING:
+    from .cycle_index import CycleIndexPoly
 
 VARIANT_CORRECT = "correct"
 VARIANT_HARRISON = "harrison-gcd"
@@ -69,10 +74,6 @@ METHOD_PERMUTATION = "permutation"
 METHODS = (METHOD_PARTITION, METHOD_PERMUTATION)
 
 DEFAULT_PERM_GUARD = 8
-
-
-class GuardError(Exception):
-    """Raised when a request exceeds a configured feasibility guard."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,35 +130,20 @@ class _Kernel(NamedTuple):
     """How one variant keys, weighs and closes the part-by-part fold.
 
     seed is the key of the empty tuple; rekey(key, r) is the key once an
-    r-cycle joins the tuple. The correct count keys by lcm alone and weighs
-    a part (r, c) by r*c; the gcd variant keys by (lcm, gcd), weighs by c,
-    and seeds gcd with 0 since gcd(0, r) = r.
+    r-cycle joins the tuple, and length(key) is its tuple-cycle length L.
+    A part (r, c) has weight(r, c), and a key of F_k with summed weight W
+    closes as b_L ** exponent(key, W, k). The correct count keys by lcm
+    alone, weighs a part by r*c and closes with W / L. The gcd variant
+    keys by (lcm, gcd), weighs by c, seeds gcd with 0 since gcd(0, r) = r,
+    and closes with g*W (W alone at arity 1).
     """
 
     variant: str
     seed: object
     rekey: Callable
-
-    def weight(self, r: int, c: int) -> int:
-        return r * c if self.variant == VARIANT_CORRECT else c
-
-    def fixed_points(self, top: dict, parts: tuple | list, k: int) -> int:
-        # prod_L (sum of r*c over parts (r, r*c) with r dividing L) ** e_L:
-        # the weighted divisor sum, read off the parts instead of the
-        # divisors of L. For the correct count e_L = W_L / L. The gcd
-        # variant's exponent sums g*W over its (L, g) keys (W alone at
-        # arity 1); it is scaled by L here so that the same division
-        # recovers it.
-        if self.variant == VARIANT_HARRISON:
-            scaled: dict[int, int] = {}
-            for (length, g), w in top.items():
-                e = g * w if k >= 2 else w
-                scaled[length] = scaled.get(length, 0) + e * length
-            top = scaled
-        total = 1
-        for length, w in top.items():
-            total *= sum([s for r, s in parts if length % r == 0]) ** (w // length)
-        return total
+    weight: Callable
+    length: Callable
+    exponent: Callable
 
 
 def _harrison_key(key: tuple[int, int], r: int) -> tuple[int, int]:
@@ -166,8 +152,22 @@ def _harrison_key(key: tuple[int, int], r: int) -> tuple[int, int]:
 
 
 _KERNELS = {
-    VARIANT_CORRECT: _Kernel(VARIANT_CORRECT, 1, math.lcm),
-    VARIANT_HARRISON: _Kernel(VARIANT_HARRISON, (1, 0), _harrison_key),
+    VARIANT_CORRECT: _Kernel(
+        VARIANT_CORRECT,
+        1,
+        math.lcm,
+        weight=lambda r, c: r * c,
+        length=lambda key: key,
+        exponent=lambda key, w, k: w // key,
+    ),
+    VARIANT_HARRISON: _Kernel(
+        VARIANT_HARRISON,
+        (1, 0),
+        _harrison_key,
+        weight=lambda r, c: c,
+        length=lambda key: key[0],
+        exponent=lambda key, w, k: key[1] * w if k >= 2 else w,
+    ),
 }
 
 
@@ -179,56 +179,113 @@ def _kernel(variant: str, k: int) -> _Kernel:
     return _KERNELS[variant]
 
 
+class _Keys(dict):
+    """F_k key -> (L, a): its tuple-cycle length, and a[r] the least divisor
+    of L in (r, n], or n + 1 when there is none.
+
+    Parts join in ascending size, so a part joining after the largest part
+    r so far lies in (r, rest]. A key with a[r] > rest can therefore never
+    change again: no later part divides L. Built lazily, once per key and
+    walk.
+    """
+
+    def __init__(self, n: int, length: Callable):
+        super().__init__()
+        self.n = n
+        self.length = length
+
+    def __missing__(self, key) -> tuple[int, list[int]]:
+        n, length = self.n, self.length(key)
+        above = [n + 1] * (n + 1)
+        for r in range(n - 1, -1, -1):
+            above[r] = r + 1 if length % (r + 1) == 0 else above[r + 1]
+        self[key] = entry = length, above
+        return entry
+
+
 def _empty_fold(kernel: _Kernel, k: int) -> list[dict]:
     # F_0 holds the one empty tuple; no m-tuple with m >= 1 exists yet.
     return [{kernel.seed: 1}] + [{} for _ in range(k)]
 
 
-def _rekeyed(fold: list[dict], r: int, rekey: Callable) -> list[dict]:
-    # F_i (x) r for i < k: every key moved to rekey(key, r), weights summed.
-    moved = []
-    for i in range(len(fold) - 1):
-        out: dict = {}
-        for key, w in fold[i].items():
-            m = rekey(key, r)
-            out[m] = out.get(m, 0) + w
-        moved.append(out)
-    return moved
+def _join(
+    fold: list[dict], w: int, bases: dict, parts: tuple, rest: int,
+    kernel: _Kernel, keys: _Keys,
+) -> tuple[list[dict], dict, int]:
+    """One edge of the walk: the part parts[-1] = (r, s), of weight w, joins.
 
+    fold is F_0..F_k. An m-tuple over the grown support puts r at some a
+    of its m places, C(m, a) ways, and the other m - a places form a tuple
+    over the old support, so
+    F'_m = F_m + sum_{a=1..m} C(m, a) * w^a * (F_{m-a} rekeyed by r),
+    each source entry rekeyed as it is added. rest is what is left of n;
+    a leaf (rest = 0) needs only F'_k.
 
-def _add_part(fold: list[dict], moved: list[dict], w: int, lowest: int = 1) -> list[dict]:
-    """Fold one part of weight w into F_0..F_k; moved is _rekeyed(fold, r).
-
-    An m-tuple over the grown support puts the new cycle length r at some
-    a of its m places, C(m, a) ways, and the other m - a places form a
-    tuple over the old support, so
-    F'_m = F_m + sum_{a=1..m} C(m, a) * w^a * (F_{m-a} (x) r).
-    Entries below lowest are passed through unchanged; a leaf needs only
-    F_k and passes lowest = k.
+    bases maps each key of F_k to its base b_L, the sum of s' over the
+    earlier parts (r', s') with r' | L. The new part adds s to the keys
+    with r | L; a key new to F_k (always a multiple of r) reads its base
+    off the parts once. A key that no later part can touch (see _Keys) is
+    settled: b_L ** exponent goes into the product, and the key leaves
+    F'_k and the bases. At a leaf every key settles, and the product
+    completes the fixed-point count. Returns (F'_0..F'_k, bases of F'_k,
+    product); at a leaf only the product means anything.
     """
     k = len(fold) - 1
-    out = fold[:lowest]
-    for m in range(lowest, k + 1):
+    r, s = parts[-1]
+    rekey = kernel.rekey
+    out = fold[:k] if rest == 0 else fold[:1]
+    for m in range(len(out), k + 1):
         acc = fold[m].copy()
         get = acc.get
         power = 1
         for a in range(1, m + 1):
             power *= w
             coeff = math.comb(m, a) * power
-            for key, v in moved[m - a].items():
+            for key, v in fold[m - a].items():
+                key = rekey(key, r)
                 acc[key] = get(key, 0) + coeff * v
         out.append(acc)
-    return out
+    exponent = kernel.exponent
+    live: dict = {}
+    live_bases: dict = {}
+    product = 1
+    for key, v in out[k].items():
+        length, above = keys[key]
+        base = bases.get(key)
+        if base is None:
+            base = sum([t for p, t in parts if length % p == 0])
+        elif length % r == 0:
+            base += s
+        if above[r] <= rest:
+            live[key] = v
+            live_bases[key] = base
+        else:
+            product *= base ** exponent(key, v, k)
+    out[k] = live
+    return out, live_bases, product
+
+
+def _empty_set_fixed_points(k: int) -> int:
+    # All 0^(0^k) tables on the empty set: the empty table for k >= 1, and
+    # no constant at all for k = 0.
+    return 1 if k else 0
 
 
 def _per_type(j: CycleType, k: int, kernel: _Kernel) -> int:
-    fold = _empty_fold(kernel, k)
-    parts = []
+    # The walk's edges along the one path that spells j.
+    if j.n == 0:
+        return _empty_set_fixed_points(k)
+    keys = _Keys(j.n, kernel.length)
+    fold, bases, done, parts, rest = _empty_fold(kernel, k), {}, 1, (), j.n
     for r, c in enumerate(j.j, start=1):
         if c:
-            fold = _add_part(fold, _rekeyed(fold, r, kernel.rekey), kernel.weight(r, c))
-            parts.append((r, r * c))
-    return kernel.fixed_points(fold[k], parts, k)
+            rest -= r * c
+            parts += ((r, r * c),)
+            fold, bases, settled = _join(
+                fold, kernel.weight(r, c), bases, parts, rest, kernel, keys
+            )
+            done *= settled
+    return done
 
 
 def fixed_point_count(j: CycleType, k: int) -> int:
@@ -238,7 +295,7 @@ def fixed_point_count(j: CycleType, k: int) -> int:
     support of j: each tuple contributes the weighted divisor sum of
     L = lcm(r_1, ..., r_k) raised to (r_1*...*r_k / L) * j_{r_1}*...*j_{r_k}.
     Computed by folding the parts (r, j_r) of j in one at a time, the same
-    update count_k_magmas applies down its walk: F_m maps each L to the
+    steps count_k_magmas takes down its walk: F_m maps each L to the
     summed weight prod r_i * j_{r_i} of the m-tuples with lcm L, so the
     exponent of L is F_k[L] / L and each distinct L pays one power. The
     empty ground set gives 1 for k >= 1 (empty product) and 0 for k = 0,
@@ -266,18 +323,19 @@ def _cycle_type_terms(n: int, k: int, kernel: _Kernel) -> Iterator[tuple[int, in
     # size r, with a count c >= 1, and only larger parts follow, so a
     # remainder in (0, r] cannot complete and is never entered. The edge
     # adding (r, c) multiplies z by r^c c!, appends (r, r*c) to the parts
-    # and folds the part in; the rekeyed maps are shared by every c of r.
+    # and is one _join. Each node carries the live keys of F_k, their bases
+    # and the product of the keys already settled on its path.
     factorial = math.factorial(n)
-    rekey, weight = kernel.rekey, kernel.weight
+    weight = kernel.weight
     if n == 0:
-        yield kernel.fixed_points(_empty_fold(kernel, k)[k], (), k), 1
+        yield _empty_set_fixed_points(k), 1
         return
-    stack = [(n, 1, 1, (), _empty_fold(kernel, k))]
+    keys = _Keys(n, kernel.length)
+    stack = [(n, 1, 1, (), _empty_fold(kernel, k), {}, 1)]
     while stack:
-        remaining, low, denom, parts, fold = stack.pop()
+        remaining, low, denom, parts, fold, bases, done = stack.pop()
         # Past remaining // 2 only the single part r = remaining completes.
         for r in [*range(low, remaining // 2 + 1), remaining]:
-            moved = _rekeyed(fold, r, rekey)
             z = denom
             for c in range(1, remaining // r + 1):
                 z *= r * c
@@ -285,12 +343,13 @@ def _cycle_type_terms(n: int, k: int, kernel: _Kernel) -> Iterator[tuple[int, in
                 if 0 < rest <= r:
                     continue
                 grown = parts + ((r, r * c),)
+                child, live, settled = _join(
+                    fold, weight(r, c), bases, grown, rest, kernel, keys
+                )
                 if rest == 0:
-                    top = _add_part(fold, moved, weight(r, c), k)[k]
-                    yield kernel.fixed_points(top, grown, k), factorial // z
+                    yield done * settled, factorial // z
                 else:
-                    child = _add_part(fold, moved, weight(r, c))
-                    stack.append((rest, r + 1, z, grown, child))
+                    stack.append((rest, r + 1, z, grown, child, live, done * settled))
 
 
 def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
@@ -300,8 +359,9 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     z_j = prod_i i^{j_i} j_i!, in exact integers, and divides the total by
     n! with one divmod; a remainder raises. The cycle types are never
     built one by one: a single depth-first walk over the partitions of n
-    carries z_j and the part-by-part fold down the tree, so neighbouring
-    types share every part they have in common. The weights n!/z_j must
+    carries z_j, the part-by-part fold and the product of the settled
+    tuple-cycle lengths down the tree, so neighbouring types share every
+    part they have in common. The weights n!/z_j must
     sum to n! exactly, which also catches a single type visited twice or
     missed; anything else raises. Serial and in a fixed order, so the
     result is the same bit for bit on every run.
@@ -352,15 +412,19 @@ def count_via_permutation_sum(
             cache[j.j] = _per_type(j, k, kernel)
         total += cache[j.j]
         terms += 1
-    avg = Fraction(total, math.factorial(n))
-    if avg.denominator != 1:
-        raise ArithmeticError(f"non-integral class count {avg} at n={n} k={k}")
-    return CensusResult(query, avg.numerator, terms, time.perf_counter() - start)
+    count, remainder = divmod(total, math.factorial(n))
+    if remainder:
+        raise ArithmeticError(
+            f"non-integral class count: remainder {remainder} mod {n}! at n={n} k={k}"
+        )
+    return CensusResult(query, count, terms, time.perf_counter() - start)
 
 
 def _induce_harrison(z: CycleIndexPoly, k: int) -> CycleIndexPoly:
     # Induced polynomial under the gcd-exponent convention: same
     # indeterminate per tuple (indexed by the lcm), wrong exponent.
+    from .cycle_index import CycleIndexPoly, Monomial
+
     if k < 1:
         raise ValueError(f"gcd variant needs arity >= 1, got {k}")
     terms = []
@@ -381,9 +445,12 @@ def count_via_cycle_index(n: int, k: int, variant: str = VARIANT_CORRECT) -> Cen
 
     Builds Z_n, induces it to the k-tuple action with the literal per-tuple
     loop, and substitutes weighted_divisor_sum per term. A third route for
-    cross-checking: it shares no code with count_k_magmas, whose kernel
-    folds coordinates and reads its divisor sums off the support.
+    cross-checking: it shares no code with count_k_magmas, whose walk
+    folds whole parts into maps keyed by tuple-cycle length and carries
+    each length's divisor sum down the partition tree.
     """
+    from .cycle_index import cycle_index_direct, induce, substitute_per_monomial
+
     start = time.perf_counter()
     query = CensusQuery(n, k, variant, METHOD_PARTITION)
     z = cycle_index_direct(n)

@@ -6,22 +6,26 @@ size. Exit codes are a stable contract: 0 success, 1 a verification suite
 failed, 2 usage error (argument problems only, all found before any work
 starts), 3 a feasibility guard refused the request, 141 the reader
 closed stdout before the output was done (as shells report SIGPIPE).
+
+A count or a sequence loads only this module, census and arith; the
+oracle, the cycle index, json, decimal and random are imported by the
+command or format that uses them.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
-import json
 import os
-import random
 import sys
 from dataclasses import dataclass
 
-from . import census, cycle_index, oracle
-from .arith import enumerate_cycle_types, realize_cycle_type
-from .census import GuardError
-from .oracle import DEFAULT_CELL_CAP, EnumerationCapError, default_jobs
+from . import census
+from .arith import (
+    DEFAULT_CELL_CAP,
+    GuardError,
+    enumerate_cycle_types,
+    realize_cycle_type,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -47,11 +51,19 @@ class RunConfig:
     jobs: int = 1
     seed: int = DEFAULT_SEED
 
-    def __post_init__(self):
-        if self.max_cells < 1:
-            raise ValueError(f"max-cells must be >= 1, got {self.max_cells}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+
+def default_jobs() -> int:
+    """Worker count from MAGMA_CENSUS_JOBS, else the CPU count."""
+    env = os.environ.get("MAGMA_CENSUS_JOBS")
+    if env is not None:
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(f"MAGMA_CENSUS_JOBS must be an integer, got {env!r}")
+        if jobs < 1:
+            raise ValueError(f"MAGMA_CENSUS_JOBS must be positive, got {jobs}")
+        return jobs
+    return os.cpu_count() or 1
 
 
 # str() is used up to the interpreter's default digit limit. A value of at
@@ -83,6 +95,8 @@ def decimal_string(value: int) -> str:
 
 
 def _decimal_digits(value: int) -> str:
+    import decimal
+
     D = decimal.Decimal
     powers: dict[int, decimal.Decimal] = {}
 
@@ -134,6 +148,8 @@ def cmd_count(args, config: RunConfig) -> int:
     else:
         result = census.count_k_magmas(args.n, args.k, args.variant)
     if args.format == FORMAT_JSON:
+        import json
+
         print(json.dumps(_count_record(result)))
     else:
         print(decimal_string(result.count))
@@ -147,6 +163,8 @@ def cmd_sequence(args, config: RunConfig) -> int:
     else:
         results = census.sequence(args.k, args.lo, args.hi, args.variant)
     if args.format == FORMAT_JSON:
+        import json
+
         print(json.dumps([_count_record(r) for r in results]))
         return EXIT_OK
     for index, r in zip(range(args.lo, args.hi + 1), results):
@@ -156,10 +174,14 @@ def cmd_sequence(args, config: RunConfig) -> int:
 
 
 def cmd_cycle_index(args, config: RunConfig) -> int:
+    from . import cycle_index
+
     z = cycle_index.cycle_index_direct(args.n)
     if args.power is not None:
         z = cycle_index.induce(z, args.power)
     if args.format == FORMAT_JSON:
+        import json
+
         print(json.dumps(z.to_json_dict()))
     else:
         print(z.render())
@@ -174,6 +196,8 @@ def _feasible_pairs(max_cells: int, k_ceiling: int = 6):
 
 
 def _suite_burnside(config: RunConfig, n_max: int, k_max: int):
+    from . import oracle
+
     failures = []
     pairs = 0
     for n, k in _feasible_pairs(config.max_cells):
@@ -186,6 +210,10 @@ def _suite_burnside(config: RunConfig, n_max: int, k_max: int):
 
 
 def _suite_structural(config: RunConfig, n_max: int, k_max: int):
+    import random
+
+    from . import oracle
+
     rng = random.Random(config.seed)
     failures = []
     checked = 0
@@ -256,6 +284,8 @@ def _suite_variant(config: RunConfig, n_max: int, k_max: int):
 
 
 def _suite_cycle_index(config: RunConfig, n_max: int, k_max: int):
+    from . import cycle_index
+
     failures = []
     for n in range(0, 26):
         direct = cycle_index.cycle_index_direct(n)
@@ -405,7 +435,7 @@ def entry_point(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (GuardError, EnumerationCapError) as e:
+    except GuardError as e:
         print(e, file=sys.stderr)
         return EXIT_GUARD
     except ArithmeticError as e:

@@ -27,17 +27,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .arith import Perm, all_perms, apply_tuple
+from .arith import DEFAULT_CELL_CAP, GuardError, Perm, all_perms, apply_tuple
 
-DEFAULT_CELL_CAP = 2**20
-
-
-class EnumerationCapError(Exception):
-    """Raised when a brute-force request would enumerate too many tables."""
+# A brute-force request that would enumerate too many tables is refused by
+# the package's one guard exception; the old name stays importable.
+EnumerationCapError = GuardError
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,10 +134,10 @@ def _guarded_total(n: int, k: int, cap: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"bad shape n={n} k={k}")
     if n > 8:
-        raise EnumerationCapError(f"n={n} exceeds the brute-force limit of 8")
+        raise GuardError(f"n={n} exceeds the brute-force limit of 8")
     total = n**(n**k)
     if total > cap:
-        raise EnumerationCapError(
+        raise GuardError(
             f"n={n} k={k} has {total} tables, above the cap of {cap}"
         )
     return total
@@ -311,17 +308,3 @@ def orbit_stabilizer_check(t: OpTable) -> bool:
     """|orbit| * |stabilizer| == n! for this table."""
     orbit, stab = orbit_and_stabilizer_sizes(t)
     return orbit * stab == math.factorial(t.n)
-
-
-def default_jobs() -> int:
-    """Worker count from MAGMA_CENSUS_JOBS, else the CPU count."""
-    env = os.environ.get("MAGMA_CENSUS_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"MAGMA_CENSUS_JOBS must be an integer, got {env!r}")
-        if jobs < 1:
-            raise ValueError(f"MAGMA_CENSUS_JOBS must be positive, got {jobs}")
-        return jobs
-    return os.cpu_count() or 1

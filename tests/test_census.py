@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,7 @@ from magma_census import (
     sequence,
     weighted_divisor_sum,
 )
-from magma_census import arith, census
+from magma_census import arith, census, cli
 from magma_census.census import _induce_harrison, sequence_in_k
 from magma_census.oracle import fixed_tables_enumerated
 
@@ -159,8 +162,67 @@ def test_cycle_index_route_matches():
 
 
 def test_cycle_index_route_matches_at_moderate_size():
-    for n, k in ((24, 2), (12, 3)):
+    # At (32, 2) many nodes keep large remainders, so keys stay live over
+    # several parts before they settle.
+    for n, k in ((24, 2), (12, 3), (32, 2)):
         assert count_via_cycle_index(n, k).count == count_k_magmas(n, k).count
+
+
+def test_closed_form_grid_matches_reference_digests():
+    # The benchmark's digests of `count --n N --k K` stdout, made through
+    # count_via_cycle_index: the only independent check of (33..40, 2).
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    digests = json.loads(path.read_text())["closed-form"]
+    assert len(digests) == 21
+    for point, expected in digests.items():
+        n, k = map(int, point.split(","))
+        stdout = cli.decimal_string(count_k_magmas(n, k).count) + "\n"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == expected, point
+
+
+def _divides_later_part(length, r, rest):
+    return any(length % t == 0 for t in range(r + 1, rest + 1))
+
+
+def test_join_keeps_exactly_the_keys_a_later_part_can_touch(monkeypatch):
+    # Every edge of every walk: a key of F_k stays live exactly when some
+    # later part t in (r, rest] divides its length, and each live key
+    # carries the sum of s over the parts (p, s) with p | L.
+    join = census._join
+    edges = []
+
+    def checked(fold, w, bases, parts, rest, kernel, keys):
+        k = len(fold) - 1
+        r = parts[-1][0]
+        grown = set(fold[k]) | {
+            kernel.rekey(key, r) for i in range(k) for key in fold[i]
+        }
+        out, live_bases, product = join(fold, w, bases, parts, rest, kernel, keys)
+        live = out[k]
+        assert live.keys() == live_bases.keys() <= grown
+        for key in grown:
+            length = kernel.length(key)
+            assert (key in live) == _divides_later_part(length, r, rest), (
+                parts, rest, key
+            )
+        for key, base in live_bases.items():
+            length = kernel.length(key)
+            assert base == sum(s for p, s in parts if length % p == 0), (parts, key)
+        if rest:
+            edges.append((len(live), len(grown) - len(live)))
+        return out, live_bases, product
+
+    monkeypatch.setattr(census, "_join", checked)
+    for n, k in ((20, 2), (14, 3), (9, 4), (8, 0), (12, 1)):
+        assert count_k_magmas(n, k).count == count_via_cycle_index(n, k).count
+    for n, k in ((16, 2), (8, 3)):
+        assert count_k_magmas(n, k, VARIANT_HARRISON).count == (
+            count_via_cycle_index(n, k, VARIANT_HARRISON).count
+        )
+    for _, mono in induce(cycle_index_direct(8), 3).terms:
+        assert fixed_point_count(mono.origin, 3) == _substituted(mono)
+    # Inner edges both keep keys live and settle them early.
+    assert all(map(sum, zip(*edges)))
 
 
 def test_terms_evaluated_counts_cycle_types():
@@ -203,7 +265,7 @@ def test_weight_sum_check_catches_a_wrong_walk(monkeypatch, fault):
 
 def test_cycle_index_route_harrison():
     shapes = [(n, k) for n in range(0, 13) for k in (1, 2)]
-    shapes += [(n, 3) for n in range(0, 7)]
+    shapes += [(n, 3) for n in range(0, 7)] + [(16, 2), (8, 3)]
     for n, k in shapes:
         assert (
             count_via_cycle_index(n, k, VARIANT_HARRISON).count

@@ -208,6 +208,98 @@ def test_cli_import_starts_no_pool_machinery():
     assert r.stdout == "[]\n"
 
 
+# What a count or a sequence has no use for; the interpreter's own start-up
+# (site hooks, say) may load the standard-library ones before any of ours.
+_NOT_FOR_COUNTS = (
+    "magma_census.oracle",
+    "magma_census.cycle_index",
+    "fractions",
+    "random",
+    "json",
+    "decimal",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "3", "--k", "2"),
+        ("sequence", "--k", "2", "--from", "0", "--to", "4", "--format", "bfile"),
+    ],
+)
+def test_count_loads_only_what_it_runs(argv):
+    code = (
+        "import runpy, sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.argv = ['magma_census', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('magma_census', run_name='__main__')\n"
+        "except SystemExit as e:\n"
+        "    assert e.code in (None, 0), e.code\n"
+        f"print(sorted(m for m in {_NOT_FOR_COUNTS!r} "
+        "if m in sys.modules and m not in before))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('magma_census')))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[-2] == "[]"
+    assert lines[-1] == str(
+        ["magma_census", "magma_census.arith", "magma_census.census", "magma_census.cli"]
+    )
+
+
+# Every name the package exported when its __init__ still imported each
+# module eagerly.
+_PACKAGE_EXPORTS = (
+    "CycleType", "Perm", "all_perms", "cycle_type_count", "cycle_type_of",
+    "divisors", "enumerate_cycle_types", "gcd_list", "lcm_list",
+    "realize_cycle_type", "CensusQuery", "CensusResult", "GuardError",
+    "VARIANT_CORRECT", "VARIANT_HARRISON", "count_k_magmas",
+    "count_via_cycle_index", "count_via_permutation_sum", "fixed_point_count",
+    "fixed_point_count_harrison", "sequence", "weighted_divisor_sum",
+    "CycleIndexPoly", "Monomial", "cycle_index_direct", "cycle_index_recursive",
+    "induce", "max_indeterminate_index", "substitute_per_monomial",
+    "EnumerationCapError", "OpTable", "act", "all_tables", "canonical_form",
+    "cell_permutation", "count_orbits_bruteforce", "fixed_tables_structural",
+    "is_automorphism", "orbit_stabilizer_check", "__version__",
+)
+
+
+def test_package_exports_still_resolve():
+    # In a fresh interpreter, so that each name resolves lazily.
+    code = (
+        f"from magma_census import {', '.join(_PACKAGE_EXPORTS)}\n"
+        "import magma_census\n"
+        "from magma_census import arith, census, cycle_index, oracle\n"
+        "assert census.count_k_magmas is magma_census.count_k_magmas\n"
+        "assert cycle_index.induce is magma_census.induce\n"
+        "assert set(magma_census.__all__) <= set(dir(magma_census))\n"
+        "try:\n"
+        "    from magma_census import no_such_name\n"
+        "except ImportError:\n"
+        "    print('ok')\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "ok\n"
+
+
+def test_one_guard_exception():
+    # The census, the oracle and the command line share one class, and the
+    # oracle still loads nothing of the census.
+    from magma_census import arith, oracle
+
+    assert census.GuardError is oracle.EnumerationCapError is arith.GuardError
+    code = (
+        "import sys, magma_census.oracle\n"
+        "print('magma_census.census' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
+
+
 def test_count_above_str_digit_limit_plain_and_json():
     expected = _unlimited_str(count_via_cycle_index(16, 3).count)
     assert len(expected) > 4300

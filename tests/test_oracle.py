@@ -20,11 +20,11 @@ from magma_census import (
     enumerate_cycle_types,
 )
 from magma_census.arith import apply_tuple
+from magma_census.cli import default_jobs
 from magma_census.oracle import (
     _count_canonical_shard,
     _relabel_maps,
     decode_cell,
-    default_jobs,
     encode_cell,
     fixed_tables_enumerated,
     orbit_and_stabilizer_sizes,
