@@ -138,7 +138,6 @@ class _Kernel(NamedTuple):
     and closes with g*W (W alone at arity 1).
     """
 
-    variant: str
     seed: object
     rekey: Callable
     weight: Callable
@@ -153,7 +152,6 @@ def _harrison_key(key: tuple[int, int], r: int) -> tuple[int, int]:
 
 _KERNELS = {
     VARIANT_CORRECT: _Kernel(
-        VARIANT_CORRECT,
         1,
         math.lcm,
         weight=lambda r, c: r * c,
@@ -161,7 +159,6 @@ _KERNELS = {
         exponent=lambda key, w, k: w // key,
     ),
     VARIANT_HARRISON: _Kernel(
-        VARIANT_HARRISON,
         (1, 0),
         _harrison_key,
         weight=lambda r, c: c,

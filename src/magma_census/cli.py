@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import census
 from .arith import (
@@ -42,18 +41,11 @@ FORMAT_BFILE = "bfile"
 VERIFY_SUITES = ("burnside", "structural", "cross-method", "variant", "cycle-index")
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Feasibility and reproducibility knobs shared by the subcommands."""
-
-    max_cells: int = DEFAULT_CELL_CAP
-    perm_guard: int = census.DEFAULT_PERM_GUARD
-    jobs: int = 1
-    seed: int = DEFAULT_SEED
-
-
 def default_jobs() -> int:
-    """Worker count from MAGMA_CENSUS_JOBS, else the CPU count."""
+    """The --jobs default: MAGMA_CENSUS_JOBS, else the CPU count.
+
+    Every command runs serially; the value is validated and then unused.
+    """
     env = os.environ.get("MAGMA_CENSUS_JOBS")
     if env is not None:
         try:
@@ -140,10 +132,10 @@ def _count_record(result: census.CensusResult) -> dict:
     }
 
 
-def cmd_count(args, config: RunConfig) -> int:
+def cmd_count(args) -> int:
     if args.method == census.METHOD_PERMUTATION:
         result = census.count_via_permutation_sum(
-            args.n, args.k, args.variant, config.perm_guard
+            args.n, args.k, args.variant, args.perm_guard
         )
     else:
         result = census.count_k_magmas(args.n, args.k, args.variant)
@@ -156,7 +148,7 @@ def cmd_count(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sequence(args, config: RunConfig) -> int:
+def cmd_sequence(args) -> int:
     # Plain and bfile lines go out as each count is done; JSON is one list.
     if args.vary == "k":
         results = census.sequence_in_k(args.n, args.lo, args.hi, args.variant)
@@ -173,7 +165,7 @@ def cmd_sequence(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_cycle_index(args, config: RunConfig) -> int:
+def cmd_cycle_index(args) -> int:
     from . import cycle_index
 
     z = cycle_index.cycle_index_direct(args.n)
@@ -188,20 +180,25 @@ def cmd_cycle_index(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _feasible_pairs(max_cells: int, k_ceiling: int = 6):
+# The burnside suite tries arities 0..6; past that only n <= 1 fits any cap
+# the oracle could finish under (n = 2, k = 7 has 2^128 tables).
+_BURNSIDE_K_MAX = 6
+
+
+def _feasible_pairs(max_cells: int):
     for n in range(0, 9):
-        for k in range(0, k_ceiling + 1):
+        for k in range(0, _BURNSIDE_K_MAX + 1):
             if n ** (n**k) <= max_cells:
                 yield n, k
 
 
-def _suite_burnside(config: RunConfig, n_max: int, k_max: int):
+def _suite_burnside(args):
     from . import oracle
 
     failures = []
     pairs = 0
-    for n, k in _feasible_pairs(config.max_cells):
-        brute = oracle.count_orbits_bruteforce(n, k, config.max_cells, config.jobs)
+    for n, k in _feasible_pairs(args.max_cells):
+        brute = oracle.count_orbits_bruteforce(n, k, args.max_cells)
         formula = census.count_k_magmas(n, k).count
         pairs += 1
         if brute != formula:
@@ -209,18 +206,18 @@ def _suite_burnside(config: RunConfig, n_max: int, k_max: int):
     return failures, [f"{pairs} (n, k) pairs under the cap"]
 
 
-def _suite_structural(config: RunConfig, n_max: int, k_max: int):
+def _suite_structural(args):
     import random
 
     from . import oracle
 
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     failures = []
     checked = 0
-    for n in range(0, n_max + 1):
+    for n in range(0, args.n_max + 1):
         for j in enumerate_cycle_types(n):
             p = realize_cycle_type(j, rng)
-            for k in range(0, k_max + 1):
+            for k in range(0, args.k_max + 1):
                 structural = oracle.fixed_tables_structural(p, n, k)
                 closed = census.fixed_point_count(j, k)
                 checked += 1
@@ -232,19 +229,19 @@ def _suite_structural(config: RunConfig, n_max: int, k_max: int):
     return failures, [f"{checked} (cycle type, k) pairs"]
 
 
-def _suite_cross_method(config: RunConfig, n_max: int, k_max: int):
+def _suite_cross_method(args):
     # Capped at n = 6: from (7, 3) on, the gcd variant's average over S_n
     # stops being an integer at all (a quiet proof of its wrongness), so
     # there is no count for the three routes to agree on.
     failures = []
-    for n in range(0, min(n_max, 6, config.perm_guard) + 1):
-        for k in range(0, k_max + 1):
+    for n in range(0, min(args.n_max, 6, args.perm_guard) + 1):
+        for k in range(0, args.k_max + 1):
             for variant in census.VARIANTS:
                 if variant == census.VARIANT_HARRISON and k == 0:
                     continue
                 a = census.count_k_magmas(n, k, variant).count
                 b = census.count_via_permutation_sum(
-                    n, k, variant, config.perm_guard
+                    n, k, variant, args.perm_guard
                 ).count
                 c = census.count_via_cycle_index(n, k, variant).count
                 if not (a == b == c):
@@ -255,7 +252,7 @@ def _suite_cross_method(config: RunConfig, n_max: int, k_max: int):
     return failures, []
 
 
-def _suite_variant(config: RunConfig, n_max: int, k_max: int):
+def _suite_variant(args):
     # The gcd variant must track the correct count through every k <= 2
     # and break first at n=2, k=3, undercounting 130 against 136. The
     # k=3 scan stops at n=6, where the variant still yields integers.
@@ -283,7 +280,7 @@ def _suite_variant(config: RunConfig, n_max: int, k_max: int):
     return failures, [f"first divergence at n={n} k={k}: {bad} != {good}"]
 
 
-def _suite_cycle_index(config: RunConfig, n_max: int, k_max: int):
+def _suite_cycle_index(args):
     from . import cycle_index
 
     failures = []
@@ -310,11 +307,11 @@ _SUITE_RUNNERS = {
 }
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     suites = args.suite or list(VERIFY_SUITES)
     any_failed = False
     for suite in suites:
-        failures, notes = _SUITE_RUNNERS[suite](config, args.n_max, args.k_max)
+        failures, notes = _SUITE_RUNNERS[suite](args)
         print(f"{suite}: {'FAIL' if failures else 'PASS'}")
         for line in failures:
             any_failed = True
@@ -335,9 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         if formats is not None:
             p.add_argument("--format", choices=formats, default=FORMAT_PLAIN)
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker count for verify's brute-force oracle; "
-                            "MAGMA_CENSUS_JOBS, then CPU count (count and "
-                            "sequence accept it and run serially)")
+                       help="accepted and validated; has no effect "
+                            "(default MAGMA_CENSUS_JOBS, then CPU count)")
         p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP,
                        help="enumeration cap on n^(n^k)")
         p.add_argument("--perm-guard", type=int, default=census.DEFAULT_PERM_GUARD,
@@ -395,9 +391,11 @@ def _validate(args, parser: argparse.ArgumentParser):
         parser.error(f"--power must be >= 0, got {args.power}")
     if args.max_cells < 1:
         parser.error(f"--max-cells must be >= 1, got {args.max_cells}")
+    if args.perm_guard < 0:
+        parser.error(f"--perm-guard must be >= 0, got {args.perm_guard}")
     if args.jobs is None:
         try:
-            args.jobs = default_jobs()
+            default_jobs()
         except ValueError as e:
             parser.error(str(e))
     elif args.jobs < 1:
@@ -422,9 +420,8 @@ def entry_point(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
-    config = RunConfig(args.max_cells, args.perm_guard, args.jobs, args.seed)
     try:
-        status = args.func(args, config)
+        status = args.func(args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -128,8 +128,7 @@ def cycle_index_direct(n: int) -> CycleIndexPoly:
 @functools.cache
 def _recursive_table(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], Fraction], ...]:
     # Z_0 = 1; Z_n = (1/n) sum_{i=1..n} t_i Z_{n-i}. Keys are exponent
-    # tuples; entries are kept sorted so the memo is canonical. The cache
-    # is idempotent, so concurrent construction is safe.
+    # tuples; entries are kept sorted so the memo is canonical.
     if n == 0:
         return (((), Fraction(1)),)
     acc: dict[tuple[tuple[int, int], ...], Fraction] = {}

@@ -102,8 +102,7 @@ def cell_permutation(p: Perm, k: int) -> Perm:
     """The permutation p induces on the n^k cells, coordinatewise.
 
     Cached: act and the structural count hit the same (p, k) pair over and
-    over, and the result is pure. Insertion is idempotent, so races at
-    worst recompute.
+    over, and the result is pure.
     """
     return Perm(tuple(_cell_images(p.images, k)))
 
@@ -176,38 +175,34 @@ def _rejecting_reach(entries: list[int], maps) -> int | None:
     return None
 
 
-def _count_canonical_shard(args: tuple[int, int, int, int]) -> int:
-    n, k, shard, jobs = args
+def _count_canonical(n: int, k: int) -> int:
     cells = n**k
-    if cells == 0:
-        return 1 if shard == 0 else 0
+    if n == 0:
+        return 1 if cells == 0 else 0
     maps = _relabel_maps(n, k)
     last = cells - 1
+    entries = [0] * cells
     count = 0
-    for first in range(shard, n, jobs):
-        # An odometer over entries[1:], in lexicographic order. A map that
-        # rejects entries rejects every table sharing entries[:reach + 1]
-        # too, so the odometer steps at reach and skips the rest of that
-        # block; a canonical table steps it at the last cell.
-        entries = [first] + [0] * last
-        while True:
-            reach = _rejecting_reach(entries, maps)
-            if reach is None:
-                count += 1
-                reach = last
-            entries[reach + 1:] = [0] * (last - reach)
-            while reach > 0 and entries[reach] == n - 1:
-                entries[reach] = 0
-                reach -= 1
-            if reach == 0:
-                break
-            entries[reach] += 1
-    return count
+    # An odometer over the entries, in lexicographic order. A map that
+    # rejects entries rejects every table sharing entries[:reach + 1] too,
+    # so the odometer steps at reach and skips the rest of that block; a
+    # canonical table steps it at the last cell. The walk ends when the
+    # carry runs off the front.
+    while True:
+        reach = _rejecting_reach(entries, maps)
+        if reach is None:
+            count += 1
+            reach = last
+        entries[reach + 1:] = [0] * (last - reach)
+        while reach >= 0 and entries[reach] == n - 1:
+            entries[reach] = 0
+            reach -= 1
+        if reach < 0:
+            return count
+        entries[reach] += 1
 
 
-def count_orbits_bruteforce(
-    n: int, k: int, cap: int = DEFAULT_CELL_CAP, jobs: int = 1
-) -> int:
+def count_orbits_bruteforce(n: int, k: int, cap: int = DEFAULT_CELL_CAP) -> int:
     """Number of isomorphism classes, by counting lex-least orbit representatives.
 
     Walks the tables in lexicographic order and tests each against every
@@ -217,20 +212,9 @@ def count_orbits_bruteforce(
     same relabeling, so the walk skips to the next prefix. The skipped
     tables are exactly ones the test would reject, so the count equals the
     number of lex-least representatives over all n^(n^k) tables.
-
-    Shards across processes by the first entry when jobs > 1; shard counts
-    add up independently of order, so the total is deterministic. The pool
-    module is imported only here, keeping it off every command's startup.
     """
     _guarded_total(n, k, cap)
-    jobs = max(1, min(jobs, n))
-    if jobs == 1:
-        return _count_canonical_shard((n, k, 0, 1))
-    from concurrent.futures import ProcessPoolExecutor
-
-    shards = [(n, k, s, jobs) for s in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_count_canonical_shard, shards))
+    return _count_canonical(n, k)
 
 
 def canonical_form(t: OpTable) -> OpTable:

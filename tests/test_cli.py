@@ -196,16 +196,32 @@ def test_identical_flags_identical_bytes():
 
 
 def test_cli_import_starts_no_pool_machinery():
-    # Process pools are a verify-only cost; importing them at startup
-    # slows every command, including the ones that never shard.
+    # Every command runs serially: neither importing the CLI nor running the
+    # brute-force oracle loads pool machinery, and --jobs changes no byte.
+    pools = "('concurrent.futures', 'multiprocessing')"
     code = (
         "import sys, magma_census.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-        "if m in sys.modules))"
+        f"print(sorted(m for m in {pools} if m in sys.modules))"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"
+    outputs = []
+    for jobs in ("1", "2"):
+        code = (
+            "import sys\n"
+            "from magma_census import cli\n"
+            "status = cli.entry_point(['verify', '--suite', 'burnside', "
+            f"'--max-cells', '20000', '--jobs', '{jobs}'])\n"
+            f"loaded = sorted(m for m in {pools} if m in sys.modules)\n"
+            "print(status, loaded, file=sys.stderr)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == "0 []\n", (jobs, r.stderr)
+        outputs.append(r.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("burnside: PASS\n")
 
 
 # What a count or a sequence has no use for; the interpreter's own start-up
@@ -386,6 +402,9 @@ def test_argument_problems_exit_2_before_work():
         ("count", "--n", "2", "--k", "2", "--jobs", "0"),
         ("count", "--n", "2", "--k", "2", "--max-cells", "0"),
         ("verify", "--suite", "variant", "--max-cells", "0"),
+        ("verify", "--suite", "cross-method", "--perm-guard", "-1"),
+        ("count", "--n", "0", "--k", "2", "--method", "permutation",
+         "--perm-guard", "-1"),
         ("sequence", "--k", "0", "--from", "0", "--to", "3", "--variant", "harrison-gcd"),
         ("sequence", "--vary", "k", "--n", "2", "--from", "0", "--to", "3",
          "--variant", "harrison-gcd"),

@@ -22,7 +22,6 @@ from magma_census import (
 from magma_census.arith import apply_tuple
 from magma_census.cli import default_jobs
 from magma_census.oracle import (
-    _count_canonical_shard,
     _relabel_maps,
     decode_cell,
     encode_cell,
@@ -149,6 +148,7 @@ def test_orbit_count_pinned():
     assert count_orbits_bruteforce(7, 1) == 343
     assert count_orbits_bruteforce(2, 4) == 32896
     assert count_orbits_bruteforce(8, 0) == 1
+    assert count_orbits_bruteforce(7, 0) == 1
 
 
 def test_orbit_count_degenerate():
@@ -156,17 +156,6 @@ def test_orbit_count_degenerate():
     assert count_orbits_bruteforce(0, 1) == 1
     assert count_orbits_bruteforce(1, 3) == 1
     assert count_orbits_bruteforce(4, 0) == 1
-
-
-def test_orbit_count_sharded_matches():
-    assert count_orbits_bruteforce(3, 2, jobs=2) == 3330
-    assert count_orbits_bruteforce(2, 3, jobs=8) == 136
-    # Every way of sharding by the first entry adds up to the serial count.
-    for n, k in [(6, 1), (3, 2), (2, 4), (7, 0)]:
-        serial = count_orbits_bruteforce(n, k)
-        for jobs in range(1, n + 1):
-            shards = [_count_canonical_shard((n, k, s, jobs)) for s in range(jobs)]
-            assert sum(shards) == serial, (n, k, jobs)
 
 
 def test_relabel_maps_match_the_definition():
