@@ -41,7 +41,9 @@ suite refuses to let any one of them stand in for another.
 The harrison-gcd variant reproduces a historically published exponent that
 replaces the chain count r_1*...*r_k / lcm with gcd(r_1, ..., r_k). The two
 agree for arity at most 2 (gcd * lcm = r*s) and diverge from (n, k) = (2, 3)
-on; the variant is kept as a counting foil, not for use.
+on; the variant is kept as a counting foil, not for use. The walk serves
+the correct count only: every route computes the variant by its literal
+per-tuple formula (_harrison_exponents), which is much slower at large n.
 """
 
 from __future__ import annotations
@@ -50,14 +52,16 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 from .arith import (
     CycleType,
     GuardError,
     all_perms,
+    cycle_type_count,
     cycle_type_of,
     divisors,
+    enumerate_cycle_types,
     gcd_list,
     lcm_list,
 )
@@ -126,59 +130,16 @@ def weighted_divisor_sum(j: CycleType, m: int) -> int:
     return sum(d * j.cycles_of_length(d) for d in divisors(m))
 
 
-class _Kernel(NamedTuple):
-    """How one variant keys, weighs and closes the part-by-part fold.
-
-    seed is the key of the empty tuple; rekey(key, r) is the key once an
-    r-cycle joins the tuple, and length(key) is its tuple-cycle length L.
-    A part (r, c) has weight(r, c), and a key of F_k with summed weight W
-    closes as b_L ** exponent(key, W, k). The correct count keys by lcm
-    alone, weighs a part by r*c and closes with W / L. The gcd variant
-    keys by (lcm, gcd), weighs by c, seeds gcd with 0 since gcd(0, r) = r,
-    and closes with g*W (W alone at arity 1).
-    """
-
-    seed: object
-    rekey: Callable
-    weight: Callable
-    length: Callable
-    exponent: Callable
-
-
-def _harrison_key(key: tuple[int, int], r: int) -> tuple[int, int]:
-    length, g = key
-    return math.lcm(length, r), math.gcd(g, r)
-
-
-_KERNELS = {
-    VARIANT_CORRECT: _Kernel(
-        1,
-        math.lcm,
-        weight=lambda r, c: r * c,
-        length=lambda key: key,
-        exponent=lambda key, w, k: w // key,
-    ),
-    VARIANT_HARRISON: _Kernel(
-        (1, 0),
-        _harrison_key,
-        weight=lambda r, c: c,
-        length=lambda key: key[0],
-        exponent=lambda key, w, k: key[1] * w if k >= 2 else w,
-    ),
-}
-
-
-def _kernel(variant: str, k: int) -> _Kernel:
+def _check_arity(k: int, variant: str) -> None:
     if k < 0:
         raise ValueError(f"negative arity {k}")
     if variant == VARIANT_HARRISON and k < 1:
         raise ValueError(f"gcd variant needs arity >= 1, got {k}")
-    return _KERNELS[variant]
 
 
 class _Keys(dict):
-    """F_k key -> (L, a): its tuple-cycle length, and a[r] the least divisor
-    of L in (r, n], or n + 1 when there is none.
+    """Tuple-cycle length L -> a, a[r] the least divisor of L in (r, n],
+    or n + 1 when there is none.
 
     Parts join in ascending size, so a part joining after the largest part
     r so far lies in (r, rest]. A key with a[r] > rest can therefore never
@@ -186,35 +147,34 @@ class _Keys(dict):
     walk.
     """
 
-    def __init__(self, n: int, length: Callable):
+    def __init__(self, n: int):
         super().__init__()
         self.n = n
-        self.length = length
 
-    def __missing__(self, key) -> tuple[int, list[int]]:
-        n, length = self.n, self.length(key)
+    def __missing__(self, length: int) -> list[int]:
+        n = self.n
         above = [n + 1] * (n + 1)
         for r in range(n - 1, -1, -1):
             above[r] = r + 1 if length % (r + 1) == 0 else above[r + 1]
-        self[key] = entry = length, above
-        return entry
+        self[length] = above
+        return above
 
 
-def _empty_fold(kernel: _Kernel, k: int) -> list[dict]:
-    # F_0 holds the one empty tuple; no m-tuple with m >= 1 exists yet.
-    return [{kernel.seed: 1}] + [{} for _ in range(k)]
+def _empty_fold(k: int) -> list[dict]:
+    # F_0 holds the one empty tuple, of length 1; no m-tuple with m >= 1
+    # exists yet.
+    return [{1: 1}] + [{} for _ in range(k)]
 
 
 def _join(
-    fold: list[dict], w: int, bases: dict, parts: tuple, rest: int,
-    kernel: _Kernel, keys: _Keys,
+    fold: list[dict], bases: dict, parts: tuple, rest: int, keys: _Keys
 ) -> tuple[list[dict], dict, int]:
-    """One edge of the walk: the part parts[-1] = (r, s), of weight w, joins.
+    """One edge of the walk: the part parts[-1] = (r, s), s = r * j_r, joins.
 
     fold is F_0..F_k. An m-tuple over the grown support puts r at some a
     of its m places, C(m, a) ways, and the other m - a places form a tuple
     over the old support, so
-    F'_m = F_m + sum_{a=1..m} C(m, a) * w^a * (F_{m-a} rekeyed by r),
+    F'_m = F_m + sum_{a=1..m} C(m, a) * s^a * (F_{m-a} with L -> lcm(L, r)),
     each source entry rekeyed as it is added. rest is what is left of n;
     a leaf (rest = 0) needs only F'_k.
 
@@ -222,42 +182,40 @@ def _join(
     earlier parts (r', s') with r' | L. The new part adds s to the keys
     with r | L; a key new to F_k (always a multiple of r) reads its base
     off the parts once. A key that no later part can touch (see _Keys) is
-    settled: b_L ** exponent goes into the product, and the key leaves
-    F'_k and the bases. At a leaf every key settles, and the product
-    completes the fixed-point count. Returns (F'_0..F'_k, bases of F'_k,
-    product); at a leaf only the product means anything.
+    settled: b_L ** (F'_k[L] / L) goes into the product, and the key
+    leaves F'_k and the bases. At a leaf every key settles, and the
+    product completes the fixed-point count. Returns (F'_0..F'_k, bases of
+    F'_k, product); at a leaf only the product means anything.
     """
     k = len(fold) - 1
     r, s = parts[-1]
-    rekey = kernel.rekey
+    lcm = math.lcm
     out = fold[:k] if rest == 0 else fold[:1]
     for m in range(len(out), k + 1):
         acc = fold[m].copy()
         get = acc.get
         power = 1
         for a in range(1, m + 1):
-            power *= w
+            power *= s
             coeff = math.comb(m, a) * power
-            for key, v in fold[m - a].items():
-                key = rekey(key, r)
-                acc[key] = get(key, 0) + coeff * v
+            for length, v in fold[m - a].items():
+                length = lcm(length, r)
+                acc[length] = get(length, 0) + coeff * v
         out.append(acc)
-    exponent = kernel.exponent
     live: dict = {}
     live_bases: dict = {}
     product = 1
-    for key, v in out[k].items():
-        length, above = keys[key]
-        base = bases.get(key)
+    for length, v in out[k].items():
+        base = bases.get(length)
         if base is None:
             base = sum([t for p, t in parts if length % p == 0])
         elif length % r == 0:
             base += s
-        if above[r] <= rest:
-            live[key] = v
-            live_bases[key] = base
+        if keys[length][r] <= rest:
+            live[length] = v
+            live_bases[length] = base
         else:
-            product *= base ** exponent(key, v, k)
+            product *= base ** (v // length)
     out[k] = live
     return out, live_bases, product
 
@@ -268,19 +226,17 @@ def _empty_set_fixed_points(k: int) -> int:
     return 1 if k else 0
 
 
-def _per_type(j: CycleType, k: int, kernel: _Kernel) -> int:
+def _per_type(j: CycleType, k: int) -> int:
     # The walk's edges along the one path that spells j.
     if j.n == 0:
         return _empty_set_fixed_points(k)
-    keys = _Keys(j.n, kernel.length)
-    fold, bases, done, parts, rest = _empty_fold(kernel, k), {}, 1, (), j.n
+    keys = _Keys(j.n)
+    fold, bases, done, parts, rest = _empty_fold(k), {}, 1, (), j.n
     for r, c in enumerate(j.j, start=1):
         if c:
             rest -= r * c
             parts += ((r, r * c),)
-            fold, bases, settled = _join(
-                fold, kernel.weight(r, c), bases, parts, rest, kernel, keys
-            )
+            fold, bases, settled = _join(fold, bases, parts, rest, keys)
             done *= settled
     return done
 
@@ -298,7 +254,22 @@ def fixed_point_count(j: CycleType, k: int) -> int:
     empty ground set gives 1 for k >= 1 (empty product) and 0 for k = 0,
     where the lone factor is j_1^1 = 0^1.
     """
-    return _per_type(j, k, _kernel(VARIANT_CORRECT, k))
+    _check_arity(k, VARIANT_CORRECT)
+    return _per_type(j, k)
+
+
+def _harrison_exponents(j: CycleType, k: int) -> dict[int, int]:
+    # The gcd convention, tuple by tuple: each ordered k-tuple of cycle
+    # lengths in the support of j adds gcd(r_1..r_k) * j_{r_1}*...*j_{r_k}
+    # (j_r alone at arity 1) to the exponent of L = lcm(r_1..r_k).
+    _check_arity(k, VARIANT_HARRISON)
+    exps: dict[int, int] = {}
+    for lengths in itertools.product(j.support(), repeat=k):
+        multiplier = gcd_list(lengths) if k >= 2 else 1
+        count = multiplier * math.prod(j.cycles_of_length(r) for r in lengths)
+        length = lcm_list(lengths)
+        exps[length] = exps.get(length, 0) + count
+    return exps
 
 
 def fixed_point_count_harrison(j: CycleType, k: int) -> int:
@@ -308,13 +279,16 @@ def fixed_point_count_harrison(j: CycleType, k: int) -> int:
     = r * s; from arity 3 on the gcd undercounts the chains each entry
     determines. Arity 1 has a single cycle length per tuple and multiplier
     1 either way; arity 0 is rejected, as there is no gcd of nothing.
-    Folds the parts like fixed_point_count, keyed by (lcm, gcd) with
-    weight prod j_{r_i}.
+    Computed by the literal per-tuple formula over all |support(j)|^k
+    ordered tuples, with one power of weighted_divisor_sum(j, L) per L.
     """
-    return _per_type(j, k, _kernel(VARIANT_HARRISON, k))
+    return math.prod(
+        weighted_divisor_sum(j, length) ** e
+        for length, e in _harrison_exponents(j, k).items()
+    )
 
 
-def _cycle_type_terms(n: int, k: int, kernel: _Kernel) -> Iterator[tuple[int, int]]:
+def _cycle_type_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
     # (fixed points, n!/z_j) for every cycle type j of n, each once. Depth
     # first over partitions in multiplicity form: parts join in ascending
     # size r, with a count c >= 1, and only larger parts follow, so a
@@ -323,12 +297,11 @@ def _cycle_type_terms(n: int, k: int, kernel: _Kernel) -> Iterator[tuple[int, in
     # and is one _join. Each node carries the live keys of F_k, their bases
     # and the product of the keys already settled on its path.
     factorial = math.factorial(n)
-    weight = kernel.weight
     if n == 0:
         yield _empty_set_fixed_points(k), 1
         return
-    keys = _Keys(n, kernel.length)
-    stack = [(n, 1, 1, (), _empty_fold(kernel, k), {}, 1)]
+    keys = _Keys(n)
+    stack = [(n, 1, 1, (), _empty_fold(k), {}, 1)]
     while stack:
         remaining, low, denom, parts, fold, bases, done = stack.pop()
         # Past remaining // 2 only the single part r = remaining completes.
@@ -340,13 +313,21 @@ def _cycle_type_terms(n: int, k: int, kernel: _Kernel) -> Iterator[tuple[int, in
                 if 0 < rest <= r:
                     continue
                 grown = parts + ((r, r * c),)
-                child, live, settled = _join(
-                    fold, weight(r, c), bases, grown, rest, kernel, keys
-                )
+                child, live, settled = _join(fold, bases, grown, rest, keys)
                 if rest == 0:
                     yield done * settled, factorial // z
                 else:
                     stack.append((rest, r + 1, z, grown, child, live, done * settled))
+
+
+def _exact_average(total: int, n: int, k: int) -> int:
+    # total / n!, which must be an integer: a remainder refutes the sum.
+    count, remainder = divmod(total, math.factorial(n))
+    if remainder:
+        raise ArithmeticError(
+            f"non-integral class count: remainder {remainder} mod {n}! at n={n} k={k}"
+        )
+    return count
 
 
 def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
@@ -358,29 +339,34 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     built one by one: a single depth-first walk over the partitions of n
     carries z_j, the part-by-part fold and the product of the settled
     tuple-cycle lengths down the tree, so neighbouring types share every
-    part they have in common. The weights n!/z_j must
-    sum to n! exactly, which also catches a single type visited twice or
-    missed; anything else raises. Serial and in a fixed order, so the
-    result is the same bit for bit on every run.
+    part they have in common. The gcd variant instead sums
+    fixed_point_count_harrison over enumerate_cycle_types(n), one cycle
+    type at a time. Either way the weights n!/z_j must sum to n! exactly,
+    which also catches a single type visited twice or missed; anything
+    else raises. Serial and in a fixed order, so the result is the same
+    bit for bit on every run.
     """
     start = time.perf_counter()
     query = CensusQuery(n, k, variant, METHOD_PARTITION)
-    total = weights = terms = 0
-    for fpc, weight in _cycle_type_terms(n, k, _kernel(variant, k)):
+    if variant == VARIANT_HARRISON:
+        terms = (
+            (fixed_point_count_harrison(j, k), cycle_type_count(j))
+            for j in enumerate_cycle_types(n)
+        )
+    else:
+        terms = _cycle_type_terms(n, k)
+    total = weights = evaluated = 0
+    for fpc, weight in terms:
         total += fpc * weight
         weights += weight
-        terms += 1
+        evaluated += 1
     factorial = math.factorial(n)
     if weights != factorial:
         raise ArithmeticError(
             f"cycle-type weights sum to {weights}, not {n}! = {factorial}"
         )
-    count, remainder = divmod(total, factorial)
-    if remainder:
-        raise ArithmeticError(
-            f"non-integral class count: remainder {remainder} mod {n}! at n={n} k={k}"
-        )
-    return CensusResult(query, count, terms, time.perf_counter() - start)
+    count = _exact_average(total, n, k)
+    return CensusResult(query, count, evaluated, time.perf_counter() - start)
 
 
 def count_via_permutation_sum(
@@ -399,21 +385,19 @@ def count_via_permutation_sum(
         raise GuardError(f"n={n} exceeds the permutation-sum guard of {perm_guard}")
     start = time.perf_counter()
     query = CensusQuery(n, k, variant, METHOD_PERMUTATION)
-    kernel = _kernel(variant, k)
+    per_type = (
+        fixed_point_count_harrison if variant == VARIANT_HARRISON else fixed_point_count
+    )
     cache: dict[tuple[int, ...], int] = {}
     total = 0
     terms = 0
     for p in all_perms(n):
         j = cycle_type_of(p)
         if j.j not in cache:
-            cache[j.j] = _per_type(j, k, kernel)
+            cache[j.j] = per_type(j, k)
         total += cache[j.j]
         terms += 1
-    count, remainder = divmod(total, math.factorial(n))
-    if remainder:
-        raise ArithmeticError(
-            f"non-integral class count: remainder {remainder} mod {n}! at n={n} k={k}"
-        )
+    count = _exact_average(total, n, k)
     return CensusResult(query, count, terms, time.perf_counter() - start)
 
 
@@ -422,18 +406,10 @@ def _induce_harrison(z: CycleIndexPoly, k: int) -> CycleIndexPoly:
     # indeterminate per tuple (indexed by the lcm), wrong exponent.
     from .cycle_index import CycleIndexPoly, Monomial
 
-    if k < 1:
-        raise ValueError(f"gcd variant needs arity >= 1, got {k}")
     terms = []
     for coeff, mono in z.terms:
-        j = mono.origin
-        exps: dict[int, int] = {}
-        for lengths in itertools.product(j.support(), repeat=k):
-            multiplier = gcd_list(lengths) if k >= 2 else 1
-            count = multiplier * math.prod(j.cycles_of_length(r) for r in lengths)
-            length = lcm_list(lengths)
-            exps[length] = exps.get(length, 0) + count
-        terms.append((coeff, Monomial(j, tuple(sorted(exps.items())))))
+        exps = _harrison_exponents(mono.origin, k)
+        terms.append((coeff, Monomial(mono.origin, tuple(sorted(exps.items())))))
     return CycleIndexPoly(z.n, k, tuple(terms))
 
 

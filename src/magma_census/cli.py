@@ -234,11 +234,14 @@ def _suite_cross_method(args):
     # stops being an integer at all (a quiet proof of its wrongness), so
     # there is no count for the three routes to agree on.
     failures = []
-    for n in range(0, min(args.n_max, 6, args.perm_guard) + 1):
+    top = min(args.n_max, 6, args.perm_guard)
+    triples = 0
+    for n in range(0, top + 1):
         for k in range(0, args.k_max + 1):
             for variant in census.VARIANTS:
                 if variant == census.VARIANT_HARRISON and k == 0:
                     continue
+                triples += 1
                 a = census.count_k_magmas(n, k, variant).count
                 b = census.count_via_permutation_sum(
                     n, k, variant, args.perm_guard
@@ -249,7 +252,7 @@ def _suite_cross_method(args):
                         f"n={n} k={k} variant={variant}: "
                         f"partition {a}, permutation {b}, cycle-index {c}"
                     )
-    return failures, []
+    return failures, [f"{triples} (n, k, variant) triples, n <= {top}"]
 
 
 def _suite_variant(args):
@@ -284,18 +287,20 @@ def _suite_cycle_index(args):
     from . import cycle_index
 
     failures = []
-    for n in range(0, 26):
+    natural, induced = range(0, 26), range(0, 10)
+    for n in natural:
         direct = cycle_index.cycle_index_direct(n)
         recursive = cycle_index.cycle_index_recursive(n)
         if direct.terms != recursive.terms:
             failures.append(f"n={n}: recursive cycle index differs from direct")
-    for n in range(0, 10):
+    for n in induced:
         z2 = cycle_index.induce(cycle_index.cycle_index_direct(n), 2)
         top = cycle_index.max_indeterminate_index(z2)
         bound = n if n <= 4 else n * n // 4
         if top > bound:
             failures.append(f"n={n}: induced index {top} exceeds bound {bound}")
-    return failures, []
+    return failures, [f"direct vs recursive Z_n at n <= {natural[-1]}, "
+                      f"induced-index bound at n <= {induced[-1]}"]
 
 
 _SUITE_RUNNERS = {
@@ -328,17 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=(FORMAT_PLAIN, FORMAT_JSON)):
-        if formats is not None:
-            p.add_argument("--format", choices=formats, default=FORMAT_PLAIN)
+    def add_format(p, *formats):
+        p.add_argument("--format", choices=formats, default=FORMAT_PLAIN)
+
+    def add_jobs(p):
         p.add_argument("--jobs", type=int, default=None,
                        help="accepted and validated; has no effect "
                             "(default MAGMA_CENSUS_JOBS, then CPU count)")
-        p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP,
-                       help="enumeration cap on n^(n^k)")
+
+    def add_perm_guard(p):
         p.add_argument("--perm-guard", type=int, default=census.DEFAULT_PERM_GUARD,
                        help="largest n for the permutation-sum method")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_count = sub.add_parser("count", help="one isomorphism-class count")
     p_count.add_argument("--n", type=int, required=True)
@@ -347,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default=census.VARIANT_CORRECT)
     p_count.add_argument("--method", choices=census.METHODS,
                          default=census.METHOD_PARTITION)
-    add_common(p_count)
+    add_format(p_count, FORMAT_PLAIN, FORMAT_JSON)
+    add_jobs(p_count)
+    add_perm_guard(p_count)
     p_count.set_defaults(func=cmd_count)
 
     p_seq = sub.add_parser("sequence", help="counts over a range of n (or k)")
@@ -358,22 +365,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--vary", choices=("n", "k"), default="n")
     p_seq.add_argument("--variant", choices=census.VARIANTS,
                        default=census.VARIANT_CORRECT)
-    add_common(p_seq, formats=(FORMAT_PLAIN, FORMAT_JSON, FORMAT_BFILE))
+    add_format(p_seq, FORMAT_PLAIN, FORMAT_JSON, FORMAT_BFILE)
+    add_jobs(p_seq)
     p_seq.set_defaults(func=cmd_sequence)
 
     p_zi = sub.add_parser("cycle-index", help="print Z_n, optionally induced")
     p_zi.add_argument("--n", type=int, required=True)
     p_zi.add_argument("--power", type=int, default=None,
                       help="induce to the action on k-tuples")
-    add_common(p_zi)
+    add_format(p_zi, FORMAT_PLAIN, FORMAT_JSON)
+    add_jobs(p_zi)
     p_zi.set_defaults(func=cmd_cycle_index)
 
     p_ver = sub.add_parser("verify", help="run the invariant suites")
     p_ver.add_argument("--suite", action="append", choices=VERIFY_SUITES,
                        help="suite to run (repeatable); default all")
-    p_ver.add_argument("--n-max", type=int, default=8)
-    p_ver.add_argument("--k-max", type=int, default=3)
-    add_common(p_ver, formats=None)
+    bounds = "bounds only the structural and cross-method suites"
+    p_ver.add_argument("--n-max", type=int, default=8, help=bounds)
+    p_ver.add_argument("--k-max", type=int, default=3, help=bounds)
+    p_ver.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP,
+                       help="enumeration cap on n^(n^k) for the burnside suite")
+    add_perm_guard(p_ver)
+    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="seed for the structural suite's permutations")
+    add_jobs(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -382,16 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(args, parser: argparse.ArgumentParser):
     # Every argument problem is found here and reported through
     # parser.error (exit 2) before any work starts; a ValueError raised
-    # later is an internal fault, not a usage error.
+    # later is an internal fault, not a usage error. Each command has only
+    # the flags it reads, so only those are checked.
     if getattr(args, "n", None) is not None and args.n < 0:
         parser.error(f"--n must be >= 0, got {args.n}")
     if getattr(args, "k", None) is not None and args.k < 0:
         parser.error(f"--k must be >= 0, got {args.k}")
     if getattr(args, "power", None) is not None and args.power < 0:
         parser.error(f"--power must be >= 0, got {args.power}")
-    if args.max_cells < 1:
-        parser.error(f"--max-cells must be >= 1, got {args.max_cells}")
-    if args.perm_guard < 0:
+    if getattr(args, "perm_guard", 0) < 0:
         parser.error(f"--perm-guard must be >= 0, got {args.perm_guard}")
     if args.jobs is None:
         try:
@@ -414,6 +428,8 @@ def _validate(args, parser: argparse.ArgumentParser):
     if args.command == "verify":
         if args.n_max < 0 or args.k_max < 0:
             parser.error("--n-max and --k-max must be >= 0")
+        if args.max_cells < 1:
+            parser.error(f"--max-cells must be >= 1, got {args.max_cells}")
 
 
 def entry_point(argv=None) -> int:

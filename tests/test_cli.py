@@ -147,7 +147,20 @@ def test_verify_variant_suite():
 def test_verify_cycle_index_suite():
     r = run_cli("verify", "--suite", "cycle-index")
     assert r.returncode == 0
-    assert r.stdout == "cycle-index: PASS\n"
+    assert r.stdout == (
+        "cycle-index: PASS\n"
+        "  direct vs recursive Z_n at n <= 25, induced-index bound at n <= 9\n"
+    )
+
+
+def test_verify_cross_method_reports_its_coverage():
+    # A PASS says what it covered: --perm-guard narrows the suite to n <= 0.
+    r = run_cli("verify", "--suite", "cross-method")
+    assert r.returncode == 0
+    assert r.stdout == "cross-method: PASS\n  49 (n, k, variant) triples, n <= 6\n"
+    r = run_cli("verify", "--suite", "cross-method", "--perm-guard", "0")
+    assert r.returncode == 0
+    assert r.stdout == "cross-method: PASS\n  7 (n, k, variant) triples, n <= 0\n"
 
 
 def test_usage_errors_exit_2():
@@ -241,6 +254,7 @@ _NOT_FOR_COUNTS = (
     [
         ("count", "--n", "3", "--k", "2"),
         ("sequence", "--k", "2", "--from", "0", "--to", "4", "--format", "bfile"),
+        ("count", "--n", "2", "--k", "3", "--variant", "harrison-gcd"),
     ],
 )
 def test_count_loads_only_what_it_runs(argv):
@@ -401,6 +415,8 @@ def test_argument_problems_exit_2_before_work():
     cases = [
         ("count", "--n", "2", "--k", "2", "--jobs", "0"),
         ("count", "--n", "2", "--k", "2", "--max-cells", "0"),
+        ("count", "--n", "2", "--k", "2", "--seed", "5"),
+        ("sequence", "--k", "2", "--from", "0", "--to", "3", "--max-cells", "9"),
         ("verify", "--suite", "variant", "--max-cells", "0"),
         ("verify", "--suite", "cross-method", "--perm-guard", "-1"),
         ("count", "--n", "0", "--k", "2", "--method", "permutation",
