@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 # Largest number of tables, n^(n^k), the brute-force oracle may enumerate.
@@ -66,8 +66,7 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True, slots=True)
-class CycleType:
+class CycleType(namedtuple("CycleType", "n j")):
     """Cycle structure of a permutation of an n-element set.
 
     j[i-1] counts the cycles of length i, so sum(i * j_i) == n and
@@ -75,18 +74,18 @@ class CycleType:
     the provenance tag on cycle-index monomials.
     """
 
-    n: int
-    j: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"negative ground-set size {self.n}")
-        if len(self.j) != self.n:
-            raise ValueError(f"cycle-count vector has length {len(self.j)}, expected {self.n}")
-        if any(c < 0 for c in self.j):
-            raise ValueError(f"negative cycle count in {self.j}")
-        if sum(i * c for i, c in enumerate(self.j, start=1)) != self.n:
-            raise ValueError(f"cycle counts {self.j} do not partition {self.n}")
+    def __new__(cls, n: int, j: tuple[int, ...]):
+        if n < 0:
+            raise ValueError(f"negative ground-set size {n}")
+        if len(j) != n:
+            raise ValueError(f"cycle-count vector has length {len(j)}, expected {n}")
+        if any(c < 0 for c in j):
+            raise ValueError(f"negative cycle count in {j}")
+        if sum(i * c for i, c in enumerate(j, start=1)) != n:
+            raise ValueError(f"cycle counts {j} do not partition {n}")
+        return super().__new__(cls, n, j)
 
     def support(self) -> tuple[int, ...]:
         """Cycle lengths that actually occur, in increasing order."""
@@ -143,15 +142,15 @@ def cycle_type_count(j: CycleType) -> int:
     return q
 
 
-@dataclass(frozen=True, slots=True)
-class Perm:
+class Perm(namedtuple("Perm", "images")):
     """A permutation of {0, ..., n-1}, stored as the tuple of images."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection of 0..{len(self.images) - 1}: {self.images}")
+    def __new__(cls, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images}")
+        return super().__new__(cls, images)
 
     @classmethod
     def identity(cls, n: int) -> Perm:

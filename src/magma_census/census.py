@@ -10,15 +10,17 @@ The closed form never visits the |support(j)|^k ordered tuples of cycle
 lengths, and never builds the cycle types one by one. An i-cycle paired
 with a j-cycle gives gcd(i, j) cycles of length lcm(i, j), so the tuples
 are folded into maps F_0..F_k, F_m sending each tuple-cycle length L to the
-summed weight of the m-tuples with lcm L. The parts (r, j_r) of a cycle
-type join one at a time: an m-tuple over the grown support holds r at a of
-its places, C(m, a) ways, so
-F'_m = F_m + sum_{a=1..m} C(m, a) (r j_r)^a (F_{m-a} with each L -> lcm(L, r)).
+summed weight of the m-tuples with lcm L. The parts (r, s), s = r j_r, of
+a cycle type join one at a time: an m-tuple over the grown support holds r
+at a of its places, C(m, a) ways, so
+F'_m = F_m + sum_{a=1..m} C(m, a) s^a (F_{m-a} with each L -> lcm(L, r)).
+F_0 = {1: 1} and F_1 = {p: s_p} are fixed by the parts, so only F_2..F_k
+are carried, and their a = m - 1 and a = m terms are read off the parts.
 The fixed-point count is then prod_L b_L^(F_k[L] / L), with the base
 b_L = sum of r j_r over the parts r dividing L.
 
 count_k_magmas walks the partitions of n depth first in multiplicity form,
-carrying that fold and z_j = prod_i i^{j_i} j_i! down the tree, so
+carrying F_2..F_k and z_j = prod_i i^{j_i} j_i! down the tree, so
 neighbouring cycle types share the work for the parts they share. Each
 key L of F_k carries its base: a joining part (r, c) adds r c to the keys
 it divides, and a new key reads its base off the parts once. Parts join
@@ -26,7 +28,10 @@ in ascending size, so every later part t lies in (r, rest], rest being
 what is left of n, and can touch only the keys it divides. A key with no
 divisor in that range is settled: its power b_L^(F_k[L] / L) is
 multiplied into an exact product carried down the tree, and the key is
-retired from F_k. A leaf then pays one bigint power per key still live.
+retired from F_k. A leaf builds only F'_k and settles every key of it
+inline, one bigint power each. At k <= 1 nothing is carried at all: the
+leaf reads F_k off the parts. The lcm of two part sizes and the binomials
+come from tables built once per walk.
 The weighted sum fpc(j) * n!/z_j is kept in exact integers and divided by
 n! once at the end, after checking that the weights n!/z_j sum to n!
 exactly, which a single missed or repeated cycle type cannot pass. It runs
@@ -51,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Iterator
 
 from .arith import (
@@ -80,24 +85,22 @@ METHODS = (METHOD_PARTITION, METHOD_PERMUTATION)
 DEFAULT_PERM_GUARD = 8
 
 
-@dataclass(frozen=True, slots=True)
-class CensusQuery:
-    n: int
-    k: int
-    variant: str = VARIANT_CORRECT
-    method: str = METHOD_PARTITION
+class CensusQuery(namedtuple("CensusQuery", "n k variant method")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0:
-            raise ValueError(f"n and k must be >= 0, got n={self.n} k={self.k}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+    def __new__(
+        cls, n: int, k: int, variant: str = VARIANT_CORRECT, method: str = METHOD_PARTITION
+    ):
+        if n < 0 or k < 0:
+            raise ValueError(f"n and k must be >= 0, got n={n} k={k}")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        return super().__new__(cls, n, k, variant, method)
 
 
-@dataclass(frozen=True, slots=True)
-class CensusResult:
+class CensusResult(namedtuple("CensusResult", "query count terms_evaluated elapsed")):
     """A computed count plus how it was obtained.
 
     terms_evaluated is the number of summands the route added up: cycle
@@ -105,19 +108,17 @@ class CensusResult:
     route. elapsed is wall-clock seconds.
     """
 
-    query: CensusQuery
-    count: int
-    terms_evaluated: int
-    elapsed: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"negative count {self.count}")
-        if self.count == 0 and (self.query.n, self.query.k) != (0, 0):
+    def __new__(cls, query: CensusQuery, count: int, terms_evaluated: int, elapsed: float):
+        if count < 0:
+            raise ValueError(f"negative count {count}")
+        if count == 0 and (query.n, query.k) != (0, 0):
             raise ValueError(
                 f"count 0 is only possible at (n, k) = (0, 0), "
-                f"got ({self.query.n}, {self.query.k})"
+                f"got ({query.n}, {query.k})"
             )
+        return super().__new__(cls, query, count, terms_evaluated, elapsed)
 
 
 def weighted_divisor_sum(j: CycleType, m: int) -> int:
@@ -160,55 +161,101 @@ class _Keys(dict):
         return above
 
 
+# What every edge of one walk looks up, built once per walk: the arity k,
+# lcm[r][p] = lcm(p, r) over part sizes, comb[m][a] = C(m, a) for m <= k,
+# and the divisor table of the keys (_Keys).
+_Walk = namedtuple("_Walk", "k lcm comb keys")
+
+
+def _walk_tables(n: int, k: int) -> _Walk:
+    lcm = [[math.lcm(p, r) for p in range(n + 1)] for r in range(n + 1)]
+    comb = [[math.comb(m, a) for a in range(m + 1)] for m in range(k + 1)]
+    return _Walk(k, lcm, comb, _Keys(n))
+
+
 def _empty_fold(k: int) -> list[dict]:
-    # F_0 holds the one empty tuple, of length 1; no m-tuple with m >= 1
-    # exists yet.
-    return [{1: 1}] + [{} for _ in range(k)]
+    # F_2..F_k before any part joins: no m-tuple with m >= 2 exists yet.
+    return [{} for _ in range(2, k + 1)]
 
 
 def _join(
-    fold: list[dict], bases: dict, parts: tuple, rest: int, keys: _Keys
+    fold: list[dict], bases: dict, parts: tuple, rest: int, walk: _Walk
 ) -> tuple[list[dict], dict, int]:
     """One edge of the walk: the part parts[-1] = (r, s), s = r * j_r, joins.
 
-    fold is F_0..F_k. An m-tuple over the grown support puts r at some a
-    of its m places, C(m, a) ways, and the other m - a places form a tuple
-    over the old support, so
-    F'_m = F_m + sum_{a=1..m} C(m, a) * s^a * (F_{m-a} with L -> lcm(L, r)),
-    each source entry rekeyed as it is added. rest is what is left of n;
-    a leaf (rest = 0) needs only F'_k.
+    fold is F_2..F_k. F_0 = {1: 1} and F_1 = {p: s_p} are fixed by the
+    parts and never stored. An m-tuple over the grown support puts r at
+    some a of its m places, C(m, a) ways, and the other m - a places form
+    a tuple over the old support, so for m >= 2
+    F'_m = F_m + sum_{a=1..m-2} C(m, a) s^a (F_{m-a} with L -> lcm(L, r))
+                + m s^(m-1) sum_{earlier (p, s_p)} s_p [lcm(p, r)] + s^m [r],
+    each source entry rekeyed as it is added, the part sizes through the
+    walk's lcm table. rest is what is left of n; a leaf (rest = 0) needs
+    only F'_k.
 
     bases maps each key of F_k to its base b_L, the sum of s' over the
     earlier parts (r', s') with r' | L. The new part adds s to the keys
     with r | L; a key new to F_k (always a multiple of r) reads its base
     off the parts once. A key that no later part can touch (see _Keys) is
     settled: b_L ** (F'_k[L] / L) goes into the product, and the key
-    leaves F'_k and the bases. At a leaf every key settles, and the
-    product completes the fixed-point count. Returns (F'_0..F'_k, bases of
-    F'_k, product); at a leaf only the product means anything.
+    leaves F'_k and the bases. A leaf settles every key of F'_k inline and
+    builds nothing else. At k <= 1 nothing is stored: inner edges pass
+    through, and the leaf reads F_k off the parts. Returns (F'_2..F'_k,
+    bases of F'_k, product); at a leaf only the product means anything.
     """
-    k = len(fold) - 1
+    k, lcm_of, comb_of, keys = walk
     r, s = parts[-1]
-    lcm = math.lcm
-    out = fold[:k] if rest == 0 else fold[:1]
-    for m in range(len(out), k + 1):
-        acc = fold[m].copy()
-        get = acc.get
-        power = 1
-        for a in range(1, m + 1):
-            power *= s
-            coeff = math.comb(m, a) * power
-            for length, v in fold[m - a].items():
-                length = lcm(length, r)
-                acc[length] = get(length, 0) + coeff * v
-        out.append(acc)
+    if k >= 2:
+        lcm = math.lcm
+        row = lcm_of[r]
+        earlier = parts[:-1]
+        out = []
+        for m in range(2 if rest else k, k + 1):
+            acc = fold[m - 2].copy()
+            get = acc.get
+            comb = comb_of[m]
+            power = 1
+            for a in range(1, m - 1):
+                power *= s
+                coeff = comb[a] * power
+                for length, v in fold[m - a - 2].items():
+                    length = lcm(length, r)
+                    acc[length] = get(length, 0) + coeff * v
+            # a = m - 1 takes F_1 = {p: s_p}, a = m takes F_0 = {1: 1}.
+            coeff = m * power * s
+            for p, t in earlier:
+                length = row[p]
+                acc[length] = get(length, 0) + coeff * t
+            acc[r] = get(r, 0) + power * s * s
+            out.append(acc)
+        top = out[-1]
+    elif rest:
+        # k <= 1 carries nothing, so an inner edge has nothing to update.
+        return fold, bases, 1
+    else:
+        top = dict(parts) if k else {1: 1}
+    product = 1
+    if not rest:
+        for length, v in top.items():
+            base = bases.get(length)
+            if base is None:
+                base = 0
+                for p, t in parts:
+                    if length % p == 0:
+                        base += t
+            elif length % r == 0:
+                base += s
+            product *= base ** (v // length)
+        return [], {}, product
     live: dict = {}
     live_bases: dict = {}
-    product = 1
-    for length, v in out[k].items():
+    for length, v in top.items():
         base = bases.get(length)
         if base is None:
-            base = sum([t for p, t in parts if length % p == 0])
+            base = 0
+            for p, t in parts:
+                if length % p == 0:
+                    base += t
         elif length % r == 0:
             base += s
         if keys[length][r] <= rest:
@@ -216,7 +263,7 @@ def _join(
             live_bases[length] = base
         else:
             product *= base ** (v // length)
-    out[k] = live
+    out[-1] = live
     return out, live_bases, product
 
 
@@ -230,13 +277,13 @@ def _per_type(j: CycleType, k: int) -> int:
     # The walk's edges along the one path that spells j.
     if j.n == 0:
         return _empty_set_fixed_points(k)
-    keys = _Keys(j.n)
+    walk = _walk_tables(j.n, k)
     fold, bases, done, parts, rest = _empty_fold(k), {}, 1, (), j.n
     for r, c in enumerate(j.j, start=1):
         if c:
             rest -= r * c
             parts += ((r, r * c),)
-            fold, bases, settled = _join(fold, bases, parts, rest, keys)
+            fold, bases, settled = _join(fold, bases, parts, rest, walk)
             done *= settled
     return done
 
@@ -294,13 +341,14 @@ def _cycle_type_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
     # size r, with a count c >= 1, and only larger parts follow, so a
     # remainder in (0, r] cannot complete and is never entered. The edge
     # adding (r, c) multiplies z by r^c c!, appends (r, r*c) to the parts
-    # and is one _join. Each node carries the live keys of F_k, their bases
-    # and the product of the keys already settled on its path.
+    # and is one _join. Each node carries F_2..F_k (only the live keys of
+    # F_k), the bases of those keys and the product of the keys already
+    # settled on its path; the walk's tables are built once, here.
     factorial = math.factorial(n)
     if n == 0:
         yield _empty_set_fixed_points(k), 1
         return
-    keys = _Keys(n)
+    walk = _walk_tables(n, k)
     stack = [(n, 1, 1, (), _empty_fold(k), {}, 1)]
     while stack:
         remaining, low, denom, parts, fold, bases, done = stack.pop()
@@ -313,7 +361,7 @@ def _cycle_type_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
                 if 0 < rest <= r:
                     continue
                 grown = parts + ((r, r * c),)
-                child, live, settled = _join(fold, bases, grown, rest, keys)
+                child, live, settled = _join(fold, bases, grown, rest, walk)
                 if rest == 0:
                     yield done * settled, factorial // z
                 else:

@@ -134,9 +134,8 @@ def _count_record(result: census.CensusResult) -> dict:
 
 def cmd_count(args) -> int:
     if args.method == census.METHOD_PERMUTATION:
-        result = census.count_via_permutation_sum(
-            args.n, args.k, args.variant, args.perm_guard
-        )
+        guard = census.DEFAULT_PERM_GUARD if args.perm_guard is None else args.perm_guard
+        result = census.count_via_permutation_sum(args.n, args.k, args.variant, guard)
     else:
         result = census.count_k_magmas(args.n, args.k, args.variant)
     if args.format == FORMAT_JSON:
@@ -341,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted and validated; has no effect "
                             "(default MAGMA_CENSUS_JOBS, then CPU count)")
 
-    def add_perm_guard(p):
-        p.add_argument("--perm-guard", type=int, default=census.DEFAULT_PERM_GUARD,
-                       help="largest n for the permutation-sum method")
+    def add_perm_guard(p, default):
+        p.add_argument("--perm-guard", type=int, default=default,
+                       help="largest n for the permutation-sum method "
+                            f"(default {census.DEFAULT_PERM_GUARD})")
 
     p_count = sub.add_parser("count", help="one isomorphism-class count")
     p_count.add_argument("--n", type=int, required=True)
@@ -354,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default=census.METHOD_PARTITION)
     add_format(p_count, FORMAT_PLAIN, FORMAT_JSON)
     add_jobs(p_count)
-    add_perm_guard(p_count)
+    # None: count reads the guard only under --method permutation, and
+    # refuses it otherwise (see _validate).
+    add_perm_guard(p_count, None)
     p_count.set_defaults(func=cmd_count)
 
     p_seq = sub.add_parser("sequence", help="counts over a range of n (or k)")
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k-max", type=int, default=3, help=bounds)
     p_ver.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP,
                        help="enumeration cap on n^(n^k) for the burnside suite")
-    add_perm_guard(p_ver)
+    add_perm_guard(p_ver, census.DEFAULT_PERM_GUARD)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the structural suite's permutations")
     add_jobs(p_ver)
@@ -405,7 +407,10 @@ def _validate(args, parser: argparse.ArgumentParser):
         parser.error(f"--k must be >= 0, got {args.k}")
     if getattr(args, "power", None) is not None and args.power < 0:
         parser.error(f"--power must be >= 0, got {args.power}")
-    if getattr(args, "perm_guard", 0) < 0:
+    if args.command == "count" and args.perm_guard is not None:
+        if args.method != census.METHOD_PERMUTATION:
+            parser.error("--perm-guard applies only to --method permutation")
+    if (getattr(args, "perm_guard", None) or 0) < 0:
         parser.error(f"--perm-guard must be >= 0, got {args.perm_guard}")
     if args.jobs is None:
         try:

@@ -20,30 +20,29 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
 
 from .arith import CycleType, cycle_type_count, enumerate_cycle_types, lcm_list
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(namedtuple("Monomial", "origin exponents")):
     """A product of indeterminates t_i, tagged with its originating cycle type.
 
     exponents is a tuple of (index, exponent) pairs, sorted by index, with
     every exponent positive; the empty tuple is the constant monomial 1.
     """
 
-    origin: CycleType
-    exponents: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        indices = [i for i, _ in self.exponents]
+    def __new__(cls, origin: CycleType, exponents: tuple[tuple[int, int], ...]):
+        indices = [i for i, _ in exponents]
         if indices != sorted(set(indices)):
-            raise ValueError(f"exponent indices not sorted and distinct: {self.exponents}")
-        if any(i < 1 or e < 1 for i, e in self.exponents):
-            raise ValueError(f"indices must be >= 1 and exponents positive: {self.exponents}")
+            raise ValueError(f"exponent indices not sorted and distinct: {exponents}")
+        if any(i < 1 or e < 1 for i, e in exponents):
+            raise ValueError(f"indices must be >= 1 and exponents positive: {exponents}")
+        return super().__new__(cls, origin, exponents)
 
     @property
     def max_index(self) -> int:
@@ -54,8 +53,7 @@ class Monomial:
         return "*".join(f"t{i}" if e == 1 else f"t{i}^{e}" for i, e in self.exponents)
 
 
-@dataclass(frozen=True, slots=True)
-class CycleIndexPoly:
+class CycleIndexPoly(namedtuple("CycleIndexPoly", "n power terms")):
     """Formal polynomial with exact rational coefficients, one term per cycle type.
 
     power is None for the natural action on points and k for the induced
@@ -63,16 +61,17 @@ class CycleIndexPoly:
     never merged, so len(terms) is always the number of partitions of n.
     """
 
-    n: int
-    power: int | None
-    terms: tuple[tuple[Fraction, Monomial], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(c <= 0 for c, _ in self.terms):
+    def __new__(
+        cls, n: int, power: int | None, terms: tuple[tuple[Fraction, Monomial], ...]
+    ):
+        if any(c <= 0 for c, _ in terms):
             raise ValueError("cycle-index coefficients must be positive")
-        total = sum(c for c, _ in self.terms)
+        total = sum(c for c, _ in terms)
         if total != 1:
             raise ValueError(f"cycle-index coefficients sum to {total}, expected 1")
+        return super().__new__(cls, n, power, terms)
 
     @property
     def is_natural(self) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 from .arith import DEFAULT_CELL_CAP, GuardError, Perm, all_perms, apply_tuple
@@ -37,24 +37,21 @@ from .arith import DEFAULT_CELL_CAP, GuardError, Perm, all_perms, apply_tuple
 EnumerationCapError = GuardError
 
 
-@dataclass(frozen=True, slots=True)
-class OpTable:
+class OpTable(namedtuple("OpTable", "n k entries")):
     """A k-ary operation on {0, ..., n-1}, stored as a flat entry tuple."""
 
-    n: int
-    k: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0:
-            raise ValueError(f"bad shape n={self.n} k={self.k}")
-        if len(self.entries) != self.n**self.k:
+    def __new__(cls, n: int, k: int, entries: tuple[int, ...]):
+        if n < 0 or k < 0:
+            raise ValueError(f"bad shape n={n} k={k}")
+        if len(entries) != n**k:
             raise ValueError(
-                f"expected {self.n ** self.k} entries for n={self.n} k={self.k}, "
-                f"got {len(self.entries)}"
+                f"expected {n ** k} entries for n={n} k={k}, got {len(entries)}"
             )
-        if any(not (0 <= e < self.n) for e in self.entries):
+        if any(not (0 <= e < n) for e in entries):
             raise ValueError("entries out of range")
+        return super().__new__(cls, n, k, entries)
 
     def __call__(self, *args: int) -> int:
         return self.entries[encode_cell(self.n, self.k, args)]

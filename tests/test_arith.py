@@ -161,3 +161,45 @@ def test_realize_cycle_type_seed_reproducible():
     a = realize_cycle_type(j, random.Random(5))
     b = realize_cycle_type(j, random.Random(5))
     assert a == b
+
+
+def _value_class_samples():
+    from fractions import Fraction
+
+    from magma_census import CensusQuery, CensusResult, CycleIndexPoly, Monomial, OpTable
+
+    j = CycleType(2, (0, 1))
+    mono = Monomial(j, ((2, 1),))
+    query = CensusQuery(2, 2)
+    # (instance, the same built again, its repr, arguments its constructor refuses)
+    return [
+        (j, CycleType(2, (0, 1)), "CycleType(n=2, j=(0, 1))", (2, (1, 1))),
+        (Perm((1, 0)), Perm((1, 0)), "Perm(images=(1, 0))", ((1, 1),)),
+        (query, CensusQuery(2, 2, "correct", "partition"),
+         "CensusQuery(n=2, k=2, variant='correct', method='partition')", (2, 2, "fast")),
+        (CensusResult(query, 10, 2, 0.5), CensusResult(query, 10, 2, 0.5),
+         f"CensusResult(query={query!r}, count=10, terms_evaluated=2, elapsed=0.5)",
+         (query, 0, 2, 0.0)),
+        (OpTable(1, 2, (0,)), OpTable(1, 2, (0,)), "OpTable(n=1, k=2, entries=(0,))",
+         (1, 2, (0, 0))),
+        (mono, Monomial(j, ((2, 1),)), f"Monomial(origin={j!r}, exponents=((2, 1),))",
+         (j, ((2, 0),))),
+        (CycleIndexPoly(2, None, ((Fraction(1), mono),)),
+         CycleIndexPoly(2, None, ((Fraction(1), mono),)),
+         f"CycleIndexPoly(n=2, power=None, terms=((Fraction(1, 1), {mono!r}),))",
+         (2, None, ((Fraction(1, 2), mono),))),
+    ]
+
+
+def test_value_classes_validate_compare_and_stay_frozen():
+    for value, again, text, refused in _value_class_samples():
+        cls = type(value)
+        assert value == again and hash(value) == hash(again), cls
+        assert repr(value) == text
+        with pytest.raises(ValueError):
+            cls(*refused)
+        field = text[len(cls.__name__) + 1:].split("=", 1)[0]
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
@@ -73,13 +74,33 @@ def test_fixed_point_count_matches_induced_monomial():
 
 
 def test_fixed_point_count_harrison_matches_induced_monomial():
+    # The gcd convention written out here, tuple by tuple: each ordered
+    # k-tuple of cycle lengths adds gcd * j_{r_1}*...*j_{r_k} (j_r alone at
+    # arity 1) to the exponent of its lcm L, and t_L becomes the sum of
+    # d * j_d over the divisors d of L, found by trial division.
     for n in range(0, 10):
         z = cycle_index_direct(n)
         for k in range(1, 5):
             for _, mono in _induce_harrison(z, k).terms:
-                assert fixed_point_count_harrison(mono.origin, k) == _substituted(
-                    mono
-                ), f"n={n} k={k} j={mono.origin.j}"
+                j = mono.origin
+                support = [r for r in range(1, n + 1) if j.j[r - 1]]
+                exps = {}
+                for lengths in itertools.product(support, repeat=k):
+                    length = math.lcm(*lengths)
+                    e = math.gcd(*lengths) if k >= 2 else 1
+                    for r in lengths:
+                        e *= j.j[r - 1]
+                    exps[length] = exps.get(length, 0) + e
+                expected = 1
+                for length, e in exps.items():
+                    base = sum(
+                        d * j.j[d - 1] for d in range(1, n + 1) if length % d == 0
+                    )
+                    expected *= base**e
+                assert dict(mono.exponents) == exps, f"n={n} k={k} j={j.j}"
+                assert fixed_point_count_harrison(j, k) == expected, (
+                    f"n={n} k={k} j={j.j}"
+                )
 
 
 def test_fixed_point_count_arity_zero_counts_fixed_points():
@@ -187,26 +208,30 @@ def _divides_later_part(length, r, rest):
 def test_join_keeps_exactly_the_keys_a_later_part_can_touch(monkeypatch):
     # Every edge of every walk: a key of F_k stays live exactly when some
     # later part t in (r, rest] divides its length, and each live key
-    # carries the sum of s over the parts (p, s) with p | L.
+    # carries the sum of s over the parts (p, s) with p | L. The fold holds
+    # F_2..F_k only; F_0 = {1: 1} and F_1 = {p: s_p} are built here from
+    # the parts before the edge. At k <= 1 nothing is stored, so no key is
+    # live and every key settles at the leaf.
     join = census._join
     edges = []
 
-    def checked(fold, bases, parts, rest, keys):
-        k = len(fold) - 1
+    def checked(fold, bases, parts, rest, walk):
+        k = walk.k
         r = parts[-1][0]
-        grown = set(fold[k]) | {
-            math.lcm(length, r) for i in range(k) for length in fold[i]
+        before = [{1: 1}, dict(parts[:-1]), *fold]
+        grown = set(before[k]) | {
+            math.lcm(length, r) for i in range(k) for length in before[i]
         }
-        out, live_bases, product = join(fold, bases, parts, rest, keys)
-        live = out[k]
+        out, live_bases, product = join(fold, bases, parts, rest, walk)
+        live = out[-1] if out else {}
         assert live.keys() == live_bases.keys() <= grown
         for length in grown:
-            assert (length in live) == _divides_later_part(length, r, rest), (
-                parts, rest, length
-            )
+            assert (length in live) == (
+                k >= 2 and _divides_later_part(length, r, rest)
+            ), (parts, rest, length)
         for length, base in live_bases.items():
             assert base == sum(s for p, s in parts if length % p == 0), (parts, length)
-        if rest:
+        if rest and k >= 2:
             edges.append((len(live), len(grown) - len(live)))
         return out, live_bases, product
 
@@ -232,10 +257,10 @@ def test_terms_evaluated_counts_cycle_types():
 def test_walk_builds_no_cycle_type(monkeypatch):
     expected = count_via_cycle_index(12, 3).count
 
-    def refuse(self):
-        raise AssertionError(f"CycleType built: {self.j}")
+    def refuse(cls, n, j):
+        raise AssertionError(f"CycleType built: {j}")
 
-    monkeypatch.setattr(arith.CycleType, "__post_init__", refuse)
+    monkeypatch.setattr(arith.CycleType, "__new__", refuse)
     assert count_k_magmas(12, 3).count == expected
 
 

@@ -246,6 +246,8 @@ _NOT_FOR_COUNTS = (
     "random",
     "json",
     "decimal",
+    "dataclasses",
+    "inspect",
 )
 
 
@@ -424,11 +426,18 @@ def test_argument_problems_exit_2_before_work():
         ("sequence", "--k", "0", "--from", "0", "--to", "3", "--variant", "harrison-gcd"),
         ("sequence", "--vary", "k", "--n", "2", "--from", "0", "--to", "3",
          "--variant", "harrison-gcd"),
+        # The partition method never reads the permutation route's guard.
+        ("count", "--n", "3", "--k", "2", "--perm-guard", "0"),
     ]
     for args in cases:
         r = run_cli(*args)
         assert r.returncode == 2, args
         assert r.stdout == "", args
+    assert "--method permutation" in r.stderr
+    r = run_cli("count", "--n", "3", "--k", "2", "--method", "permutation",
+                "--perm-guard", "2")
+    assert r.returncode == 3
+    assert r.stdout == ""
     for bad in ("two", "0"):
         env = dict(os.environ, MAGMA_CENSUS_JOBS=bad)
         r = run_cli("count", "--n", "2", "--k", "2", env=env)
