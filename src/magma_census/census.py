@@ -198,8 +198,8 @@ def _join(
     with r | L; a key new to F_k (always a multiple of r) reads its base
     off the parts once. A key that no later part can touch (see _Keys) is
     settled: b_L ** (F'_k[L] / L) goes into the product, and the key
-    leaves F'_k and the bases. A leaf settles every key of F'_k inline and
-    builds nothing else. At k <= 1 nothing is stored: inner edges pass
+    leaves F'_k and the bases. A leaf is an edge with no later part, so
+    it settles every key of F'_k. At k <= 1 nothing is stored: inner edges pass
     through, and the leaf reads F_k off the parts. Returns (F'_2..F'_k,
     bases of F'_k, product); at a leaf only the product means anything.
     """
@@ -235,18 +235,6 @@ def _join(
     else:
         top = dict(parts) if k else {1: 1}
     product = 1
-    if not rest:
-        for length, v in top.items():
-            base = bases.get(length)
-            if base is None:
-                base = 0
-                for p, t in parts:
-                    if length % p == 0:
-                        base += t
-            elif length % r == 0:
-                base += s
-            product *= base ** (v // length)
-        return [], {}, product
     live: dict = {}
     live_bases: dict = {}
     for length, v in top.items():
@@ -258,11 +246,14 @@ def _join(
                     base += t
         elif length % r == 0:
             base += s
-        if keys[length][r] <= rest:
+        # At a leaf (rest = 0) no later part exists, so every key settles.
+        if rest and keys[length][r] <= rest:
             live[length] = v
             live_bases[length] = base
         else:
             product *= base ** (v // length)
+    if not rest:
+        return [], {}, product
     out[-1] = live
     return out, live_bases, product
 

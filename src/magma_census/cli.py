@@ -7,6 +7,12 @@ failed, 2 usage error (argument problems only, all found before any work
 starts), 3 a feasibility guard refused the request, 141 the reader
 closed stdout before the output was done (as shells report SIGPIPE).
 
+The parser owns the argument contract, and states each rule once. A
+flag's own range lives in its argparse type (_at_least). The few rules
+that tie one flag to another are checked by the command before it starts
+work, through its own parser's error (args.usage_error). Either way a
+usage error prints the usage of the command that was given.
+
 A count or a sequence loads only this module, census and arith; the
 oracle, the cycle index, json, decimal and random are imported by the
 command or format that uses them.
@@ -41,21 +47,17 @@ FORMAT_BFILE = "bfile"
 VERIFY_SUITES = ("burnside", "structural", "cross-method", "variant", "cycle-index")
 
 
-def default_jobs() -> int:
-    """The --jobs default: MAGMA_CENSUS_JOBS, else the CPU count.
+def _at_least(low: int):
+    """An argparse type: an int >= low; anything else is a usage error."""
 
-    Every command runs serially; the value is validated and then unused.
-    """
-    env = os.environ.get("MAGMA_CENSUS_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"MAGMA_CENSUS_JOBS must be an integer, got {env!r}")
-        if jobs < 1:
-            raise ValueError(f"MAGMA_CENSUS_JOBS must be positive, got {jobs}")
-        return jobs
-    return os.cpu_count() or 1
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 # str() is used up to the interpreter's default digit limit. A value of at
@@ -132,7 +134,15 @@ def _count_record(result: census.CensusResult) -> dict:
     }
 
 
+def _refuse_nullary_gcd(args, arity: int) -> None:
+    if args.variant == census.VARIANT_HARRISON and arity == 0:
+        args.usage_error("--variant harrison-gcd needs arity >= 1")
+
+
 def cmd_count(args) -> int:
+    if args.perm_guard is not None and args.method != census.METHOD_PERMUTATION:
+        args.usage_error("--perm-guard applies only to --method permutation")
+    _refuse_nullary_gcd(args, args.k)
     if args.method == census.METHOD_PERMUTATION:
         guard = census.DEFAULT_PERM_GUARD if args.perm_guard is None else args.perm_guard
         result = census.count_via_permutation_sum(args.n, args.k, args.variant, guard)
@@ -148,6 +158,17 @@ def cmd_count(args) -> int:
 
 
 def cmd_sequence(args) -> int:
+    # --vary names the coordinate that runs over [--from, --to]; the other
+    # one comes from its own flag, and the varied one's flag is refused.
+    fixed = "k" if args.vary == "n" else "n"
+    if getattr(args, fixed) is None:
+        args.usage_error(f"--{fixed} is required when varying {args.vary}")
+    if getattr(args, args.vary) is not None:
+        args.usage_error(f"--{args.vary} is not read when varying {args.vary}; "
+                         "--from and --to give it")
+    if args.lo > args.hi:
+        args.usage_error(f"bad range [{args.lo}, {args.hi}]")
+    _refuse_nullary_gcd(args, args.lo if args.vary == "k" else args.k)
     # Plain and bfile lines go out as each count is done; JSON is one list.
     if args.vary == "k":
         results = census.sequence_in_k(args.n, args.lo, args.hi, args.variant)
@@ -331,23 +352,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count k-ary operations on n elements up to isomorphism.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    natural, positive = _at_least(0), _at_least(1)
+
+    def add_command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, usage_error=p.error)
+        return p
 
     def add_format(p, *formats):
         p.add_argument("--format", choices=formats, default=FORMAT_PLAIN)
 
     def add_jobs(p):
-        p.add_argument("--jobs", type=int, default=None,
-                       help="accepted and validated; has no effect "
-                            "(default MAGMA_CENSUS_JOBS, then CPU count)")
+        p.add_argument("--jobs", type=positive,
+                       help="accepted and validated (>= 1); has no effect")
 
     def add_perm_guard(p, default):
-        p.add_argument("--perm-guard", type=int, default=default,
+        p.add_argument("--perm-guard", type=natural, default=default,
                        help="largest n for the permutation-sum method "
                             f"(default {census.DEFAULT_PERM_GUARD})")
 
-    p_count = sub.add_parser("count", help="one isomorphism-class count")
-    p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--k", type=int, required=True)
+    p_count = add_command("count", cmd_count, "one isomorphism-class count")
+    p_count.add_argument("--n", type=natural, required=True)
+    p_count.add_argument("--k", type=natural, required=True)
     p_count.add_argument("--variant", choices=census.VARIANTS,
                          default=census.VARIANT_CORRECT)
     p_count.add_argument("--method", choices=census.METHODS,
@@ -355,92 +381,49 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_count, FORMAT_PLAIN, FORMAT_JSON)
     add_jobs(p_count)
     # None: count reads the guard only under --method permutation, and
-    # refuses it otherwise (see _validate).
+    # refuses it otherwise (see cmd_count).
     add_perm_guard(p_count, None)
-    p_count.set_defaults(func=cmd_count)
 
-    p_seq = sub.add_parser("sequence", help="counts over a range of n (or k)")
-    p_seq.add_argument("--k", type=int, help="arity (when varying n)")
-    p_seq.add_argument("--n", type=int, help="set size (when varying k)")
-    p_seq.add_argument("--from", dest="lo", type=int, required=True)
-    p_seq.add_argument("--to", dest="hi", type=int, required=True)
+    p_seq = add_command("sequence", cmd_sequence, "counts over a range of n (or k)")
+    p_seq.add_argument("--k", type=natural, help="arity (when varying n)")
+    p_seq.add_argument("--n", type=natural, help="set size (when varying k)")
+    p_seq.add_argument("--from", dest="lo", type=natural, required=True)
+    p_seq.add_argument("--to", dest="hi", type=natural, required=True)
     p_seq.add_argument("--vary", choices=("n", "k"), default="n")
     p_seq.add_argument("--variant", choices=census.VARIANTS,
                        default=census.VARIANT_CORRECT)
     add_format(p_seq, FORMAT_PLAIN, FORMAT_JSON, FORMAT_BFILE)
     add_jobs(p_seq)
-    p_seq.set_defaults(func=cmd_sequence)
 
-    p_zi = sub.add_parser("cycle-index", help="print Z_n, optionally induced")
-    p_zi.add_argument("--n", type=int, required=True)
-    p_zi.add_argument("--power", type=int, default=None,
+    p_zi = add_command("cycle-index", cmd_cycle_index, "print Z_n, optionally induced")
+    p_zi.add_argument("--n", type=natural, required=True)
+    p_zi.add_argument("--power", type=natural, default=None,
                       help="induce to the action on k-tuples")
     add_format(p_zi, FORMAT_PLAIN, FORMAT_JSON)
     add_jobs(p_zi)
-    p_zi.set_defaults(func=cmd_cycle_index)
 
-    p_ver = sub.add_parser("verify", help="run the invariant suites")
+    p_ver = add_command("verify", cmd_verify, "run the invariant suites")
     p_ver.add_argument("--suite", action="append", choices=VERIFY_SUITES,
                        help="suite to run (repeatable); default all")
     bounds = "bounds only the structural and cross-method suites"
-    p_ver.add_argument("--n-max", type=int, default=8, help=bounds)
-    p_ver.add_argument("--k-max", type=int, default=3, help=bounds)
-    p_ver.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP,
+    p_ver.add_argument("--n-max", type=natural, default=8, help=bounds)
+    p_ver.add_argument("--k-max", type=natural, default=3, help=bounds)
+    p_ver.add_argument("--max-cells", type=positive, default=DEFAULT_CELL_CAP,
                        help="enumeration cap on n^(n^k) for the burnside suite")
     add_perm_guard(p_ver, census.DEFAULT_PERM_GUARD)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the structural suite's permutations")
     add_jobs(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
 
     return parser
 
 
-def _validate(args, parser: argparse.ArgumentParser):
-    # Every argument problem is found here and reported through
-    # parser.error (exit 2) before any work starts; a ValueError raised
-    # later is an internal fault, not a usage error. Each command has only
-    # the flags it reads, so only those are checked.
-    if getattr(args, "n", None) is not None and args.n < 0:
-        parser.error(f"--n must be >= 0, got {args.n}")
-    if getattr(args, "k", None) is not None and args.k < 0:
-        parser.error(f"--k must be >= 0, got {args.k}")
-    if getattr(args, "power", None) is not None and args.power < 0:
-        parser.error(f"--power must be >= 0, got {args.power}")
-    if args.command == "count" and args.perm_guard is not None:
-        if args.method != census.METHOD_PERMUTATION:
-            parser.error("--perm-guard applies only to --method permutation")
-    if (getattr(args, "perm_guard", None) or 0) < 0:
-        parser.error(f"--perm-guard must be >= 0, got {args.perm_guard}")
-    if args.jobs is None:
-        try:
-            default_jobs()
-        except ValueError as e:
-            parser.error(str(e))
-    elif args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.command == "sequence":
-        if not (0 <= args.lo <= args.hi):
-            parser.error(f"bad range [{args.lo}, {args.hi}]")
-        if args.vary == "n" and args.k is None:
-            parser.error("--k is required when varying n")
-        if args.vary == "k" and args.n is None:
-            parser.error("--n is required when varying k")
-    if getattr(args, "variant", None) == census.VARIANT_HARRISON:
-        arity_from = args.lo if getattr(args, "vary", "n") == "k" else args.k
-        if arity_from == 0:
-            parser.error("--variant harrison-gcd needs arity >= 1")
-    if args.command == "verify":
-        if args.n_max < 0 or args.k_max < 0:
-            parser.error("--n-max and --k-max must be >= 0")
-        if args.max_cells < 1:
-            parser.error(f"--max-cells must be >= 1, got {args.max_cells}")
-
-
 def entry_point(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(args, parser)
+    # A flag the command does not read is refused by that command's parser,
+    # not the top-level one, so the usage printed is the command's own.
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         status = args.func(args)
         sys.stdout.flush()

@@ -163,16 +163,42 @@ def test_verify_cross_method_reports_its_coverage():
     assert r.stdout == "cross-method: PASS\n  7 (n, k, variant) triples, n <= 0\n"
 
 
+_USAGE_ERRORS = [
+    ("count", "--n", "-1", "--k", "2"),
+    ("count", "--n", "2"),
+    ("sequence", "--from", "0", "--to", "3"),
+    ("sequence", "--k", "2", "--from", "3", "--to", "1"),
+    ("count", "--n", "2", "--k", "2", "--variant", "wrong"),
+    ("count", "--n", "2", "--k", "2", "--format", "bfile"),
+    ("count", "--n", "2", "--k", "0", "--variant", "harrison-gcd"),
+    ("verify", "--format", "json"),
+    ("verify", "--n-max", "-1"),
+]
+
+_ARGUMENT_PROBLEMS = [
+    ("count", "--n", "2", "--k", "2", "--jobs", "0"),
+    ("count", "--n", "2", "--k", "2", "--max-cells", "0"),
+    ("count", "--n", "2", "--k", "2", "--seed", "5"),
+    ("sequence", "--k", "2", "--from", "0", "--to", "3", "--max-cells", "9"),
+    ("verify", "--suite", "variant", "--max-cells", "0"),
+    ("verify", "--suite", "cross-method", "--perm-guard", "-1"),
+    ("count", "--n", "0", "--k", "2", "--method", "permutation",
+     "--perm-guard", "-1"),
+    ("sequence", "--k", "0", "--from", "0", "--to", "3", "--variant", "harrison-gcd"),
+    ("sequence", "--vary", "k", "--n", "2", "--from", "0", "--to", "3",
+     "--variant", "harrison-gcd"),
+    # sequence reads only the coordinate flag --vary does not name.
+    ("sequence", "--k", "2", "--n", "7", "--from", "0", "--to", "2"),
+    ("sequence", "--vary", "k", "--n", "2", "--k", "9", "--from", "1", "--to", "3"),
+    # The partition method never reads the permutation route's guard; this
+    # case stays last, since the test reads its stderr.
+    ("count", "--n", "3", "--k", "2", "--perm-guard", "0"),
+]
+
+
 def test_usage_errors_exit_2():
-    assert run_cli("count", "--n", "-1", "--k", "2").returncode == 2
-    assert run_cli("count", "--n", "2").returncode == 2
-    assert run_cli("sequence", "--from", "0", "--to", "3").returncode == 2
-    assert run_cli("sequence", "--k", "2", "--from", "3", "--to", "1").returncode == 2
-    assert run_cli("count", "--n", "2", "--k", "2", "--variant", "wrong").returncode == 2
-    assert run_cli("count", "--n", "2", "--k", "2", "--format", "bfile").returncode == 2
-    assert run_cli("count", "--n", "2", "--k", "0", "--variant", "harrison-gcd").returncode == 2
-    assert run_cli("verify", "--format", "json").returncode == 2
-    assert run_cli("verify", "--n-max", "-1").returncode == 2
+    for args in _USAGE_ERRORS:
+        assert run_cli(*args).returncode == 2, args
 
 
 def test_guard_violations_exit_3():
@@ -414,22 +440,7 @@ def test_closed_stdout_is_not_a_failure():
 
 
 def test_argument_problems_exit_2_before_work():
-    cases = [
-        ("count", "--n", "2", "--k", "2", "--jobs", "0"),
-        ("count", "--n", "2", "--k", "2", "--max-cells", "0"),
-        ("count", "--n", "2", "--k", "2", "--seed", "5"),
-        ("sequence", "--k", "2", "--from", "0", "--to", "3", "--max-cells", "9"),
-        ("verify", "--suite", "variant", "--max-cells", "0"),
-        ("verify", "--suite", "cross-method", "--perm-guard", "-1"),
-        ("count", "--n", "0", "--k", "2", "--method", "permutation",
-         "--perm-guard", "-1"),
-        ("sequence", "--k", "0", "--from", "0", "--to", "3", "--variant", "harrison-gcd"),
-        ("sequence", "--vary", "k", "--n", "2", "--from", "0", "--to", "3",
-         "--variant", "harrison-gcd"),
-        # The partition method never reads the permutation route's guard.
-        ("count", "--n", "3", "--k", "2", "--perm-guard", "0"),
-    ]
-    for args in cases:
+    for args in _ARGUMENT_PROBLEMS:
         r = run_cli(*args)
         assert r.returncode == 2, args
         assert r.stdout == "", args
@@ -438,11 +449,21 @@ def test_argument_problems_exit_2_before_work():
                 "--perm-guard", "2")
     assert r.returncode == 3
     assert r.stdout == ""
+    # MAGMA_CENSUS_JOBS is no longer read: any value leaves the run alone.
     for bad in ("two", "0"):
         env = dict(os.environ, MAGMA_CENSUS_JOBS=bad)
         r = run_cli("count", "--n", "2", "--k", "2", env=env)
-        assert r.returncode == 2, bad
-        assert "MAGMA_CENSUS_JOBS" in r.stderr
+        assert r.returncode == 0, bad
+        assert r.stdout == "10\n", bad
+
+
+@pytest.mark.parametrize("args", _USAGE_ERRORS + _ARGUMENT_PROBLEMS, ids=" ".join)
+def test_usage_errors_print_the_commands_usage(args, capsys):
+    # In-process, so a check that does not fire runs the work and fails here.
+    with pytest.raises(SystemExit) as e:
+        cli.entry_point(list(args))
+    assert e.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: magma-census {args[0]} ")
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

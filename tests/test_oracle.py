@@ -20,7 +20,6 @@ from magma_census import (
     enumerate_cycle_types,
 )
 from magma_census.arith import apply_tuple
-from magma_census.cli import default_jobs
 from magma_census.oracle import (
     _relabel_maps,
     decode_cell,
@@ -261,15 +260,3 @@ def test_burnside_sum_over_group():
         assert total % math.factorial(n) == 0
         assert total // math.factorial(n) == count_orbits_bruteforce(n, k)
 
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.setenv("MAGMA_CENSUS_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("MAGMA_CENSUS_JOBS", "zero")
-    with pytest.raises(ValueError):
-        default_jobs()
-    monkeypatch.setenv("MAGMA_CENSUS_JOBS", "0")
-    with pytest.raises(ValueError):
-        default_jobs()
-    monkeypatch.delenv("MAGMA_CENSUS_JOBS")
-    assert default_jobs() >= 1
