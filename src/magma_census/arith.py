@@ -5,7 +5,9 @@ floating point anywhere. Ground-set elements are 0-based internally;
 1-based labels appear only in display strings. The one feasibility-guard
 exception and the oracle's default table cap live here too, so that the
 census, the oracle and the command line share them without importing one
-another.
+another; so do the two exponent conventions (variants) and the one literal
+per-tuple loop that tells them apart (induced_exponents), which the census
+and the cycle index share.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ DEFAULT_CELL_CAP = 2**20
 
 class GuardError(Exception):
     """Raised when a request exceeds a configured feasibility guard."""
+
+
+# The corrected exponent, and the gcd exponent the correction replaces.
+VARIANT_CORRECT = "correct"
+VARIANT_HARRISON = "harrison-gcd"
+VARIANTS = (VARIANT_CORRECT, VARIANT_HARRISON)
 
 
 def lcm_list(xs: Iterable[int]) -> int:
@@ -96,6 +104,36 @@ class CycleType(namedtuple("CycleType", "n j")):
         if 1 <= i <= self.n:
             return self.j[i - 1]
         return 0
+
+
+def induced_exponents(
+    j: CycleType, k: int, variant: str = VARIANT_CORRECT
+) -> dict[int, int]:
+    """Cycle structure of type j acting on k-tuples: L -> number of L-cycles.
+
+    The literal per-tuple loop. Each ordered k-tuple (r_1, ..., r_k) of
+    cycle lengths in the support of j adds m * j_{r_1} * ... * j_{r_k} to
+    the exponent of L = lcm(r_1, ..., r_k). The multiplier m counts the
+    tuple-cycles one choice of cycles threads, r_1 * ... * r_k / L. The
+    harrison-gcd variant takes gcd(r_1, ..., r_k) instead from arity 2 on;
+    at arity 1 both are 1, and arity 0 is refused, as there is no gcd of
+    nothing. At k = 0 the empty tuple is one fixed point: {1: 1}. Tuples
+    through an absent cycle length would add 0 and are never visited.
+    """
+    if k < 0:
+        raise ValueError(f"negative arity {k}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == VARIANT_HARRISON and k < 1:
+        raise ValueError(f"gcd variant needs arity >= 1, got {k}")
+    gcd_rule = variant == VARIANT_HARRISON and k >= 2
+    exps: dict[int, int] = {}
+    for lengths in itertools.product(j.support(), repeat=k):
+        length = lcm_list(lengths)
+        multiplier = gcd_list(lengths) if gcd_rule else math.prod(lengths) // length
+        count = multiplier * math.prod(j.cycles_of_length(r) for r in lengths)
+        exps[length] = exps.get(length, 0) + count
+    return exps
 
 
 def enumerate_cycle_types(n: int) -> Iterator[CycleType]:

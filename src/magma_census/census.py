@@ -47,19 +47,22 @@ The harrison-gcd variant reproduces a historically published exponent that
 replaces the chain count r_1*...*r_k / lcm with gcd(r_1, ..., r_k). The two
 agree for arity at most 2 (gcd * lcm = r*s) and diverge from (n, k) = (2, 3)
 on; the variant is kept as a counting foil, not for use. The walk serves
-the correct count only: every route computes the variant by its literal
-per-tuple formula (_harrison_exponents), which is much slower at large n.
+the correct count only: every route computes the variant by the literal
+per-tuple loop the induced cycle index uses (arith.induced_exponents), with
+the gcd in place of the chain count, which is much slower at large n.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .arith import (
+    VARIANT_CORRECT,
+    VARIANT_HARRISON,
+    VARIANTS,
     CycleType,
     GuardError,
     all_perms,
@@ -67,20 +70,13 @@ from .arith import (
     cycle_type_of,
     divisors,
     enumerate_cycle_types,
-    gcd_list,
-    lcm_list,
+    induced_exponents,
 )
-
-if TYPE_CHECKING:
-    from .cycle_index import CycleIndexPoly
-
-VARIANT_CORRECT = "correct"
-VARIANT_HARRISON = "harrison-gcd"
-VARIANTS = (VARIANT_CORRECT, VARIANT_HARRISON)
 
 METHOD_PARTITION = "partition"
 METHOD_PERMUTATION = "permutation"
-METHODS = (METHOD_PARTITION, METHOD_PERMUTATION)
+METHOD_CYCLE_INDEX = "cycle-index"
+METHODS = (METHOD_PARTITION, METHOD_PERMUTATION, METHOD_CYCLE_INDEX)
 
 DEFAULT_PERM_GUARD = 8
 
@@ -129,13 +125,6 @@ def weighted_divisor_sum(j: CycleType, m: int) -> int:
     index past the cycle type.
     """
     return sum(d * j.cycles_of_length(d) for d in divisors(m))
-
-
-def _check_arity(k: int, variant: str) -> None:
-    if k < 0:
-        raise ValueError(f"negative arity {k}")
-    if variant == VARIANT_HARRISON and k < 1:
-        raise ValueError(f"gcd variant needs arity >= 1, got {k}")
 
 
 class _Keys(dict):
@@ -292,22 +281,9 @@ def fixed_point_count(j: CycleType, k: int) -> int:
     empty ground set gives 1 for k >= 1 (empty product) and 0 for k = 0,
     where the lone factor is j_1^1 = 0^1.
     """
-    _check_arity(k, VARIANT_CORRECT)
+    if k < 0:
+        raise ValueError(f"negative arity {k}")
     return _per_type(j, k)
-
-
-def _harrison_exponents(j: CycleType, k: int) -> dict[int, int]:
-    # The gcd convention, tuple by tuple: each ordered k-tuple of cycle
-    # lengths in the support of j adds gcd(r_1..r_k) * j_{r_1}*...*j_{r_k}
-    # (j_r alone at arity 1) to the exponent of L = lcm(r_1..r_k).
-    _check_arity(k, VARIANT_HARRISON)
-    exps: dict[int, int] = {}
-    for lengths in itertools.product(j.support(), repeat=k):
-        multiplier = gcd_list(lengths) if k >= 2 else 1
-        count = multiplier * math.prod(j.cycles_of_length(r) for r in lengths)
-        length = lcm_list(lengths)
-        exps[length] = exps.get(length, 0) + count
-    return exps
 
 
 def fixed_point_count_harrison(j: CycleType, k: int) -> int:
@@ -317,12 +293,13 @@ def fixed_point_count_harrison(j: CycleType, k: int) -> int:
     = r * s; from arity 3 on the gcd undercounts the chains each entry
     determines. Arity 1 has a single cycle length per tuple and multiplier
     1 either way; arity 0 is rejected, as there is no gcd of nothing.
-    Computed by the literal per-tuple formula over all |support(j)|^k
-    ordered tuples, with one power of weighted_divisor_sum(j, L) per L.
+    Computed by the literal per-tuple loop that induces the cycle index
+    (arith.induced_exponents) over all |support(j)|^k ordered tuples, with
+    the gcd as multiplier and one power of weighted_divisor_sum(j, L) per L.
     """
     return math.prod(
         weighted_divisor_sum(j, length) ** e
-        for length, e in _harrison_exponents(j, k).items()
+        for length, e in induced_exponents(j, k, VARIANT_HARRISON).items()
     )
 
 
@@ -440,33 +417,22 @@ def count_via_permutation_sum(
     return CensusResult(query, count, terms, time.perf_counter() - start)
 
 
-def _induce_harrison(z: CycleIndexPoly, k: int) -> CycleIndexPoly:
-    # Induced polynomial under the gcd-exponent convention: same
-    # indeterminate per tuple (indexed by the lcm), wrong exponent.
-    from .cycle_index import CycleIndexPoly, Monomial
-
-    terms = []
-    for coeff, mono in z.terms:
-        exps = _harrison_exponents(mono.origin, k)
-        terms.append((coeff, Monomial(mono.origin, tuple(sorted(exps.items())))))
-    return CycleIndexPoly(z.n, k, tuple(terms))
-
-
 def count_via_cycle_index(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
     """The same count again, through the induced cycle index.
 
     Builds Z_n, induces it to the k-tuple action with the literal per-tuple
-    loop, and substitutes weighted_divisor_sum per term. A third route for
-    cross-checking: it shares no code with count_k_magmas, whose walk
+    loop under the variant's convention, and substitutes
+    weighted_divisor_sum per term. A third route for cross-checking: for
+    the correct count it shares no code with count_k_magmas, whose walk
     folds whole parts into maps keyed by tuple-cycle length and carries
-    each length's divisor sum down the partition tree.
+    each length's divisor sum down the partition tree. The gcd variant has
+    no walk; both routes run the same loop and differ in how they sum.
     """
     from .cycle_index import cycle_index_direct, induce, substitute_per_monomial
 
     start = time.perf_counter()
-    query = CensusQuery(n, k, variant, METHOD_PARTITION)
-    z = cycle_index_direct(n)
-    zk = induce(z, k) if variant == VARIANT_CORRECT else _induce_harrison(z, k)
+    query = CensusQuery(n, k, variant, METHOD_CYCLE_INDEX)
+    zk = induce(cycle_index_direct(n), k, variant)
     count = substitute_per_monomial(zk, weighted_divisor_sum)
     return CensusResult(query, count, len(zk.terms), time.perf_counter() - start)
 

@@ -376,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--k", type=natural, required=True)
     p_count.add_argument("--variant", choices=census.VARIANTS,
                          default=census.VARIANT_CORRECT)
-    p_count.add_argument("--method", choices=census.METHODS,
-                         default=census.METHOD_PARTITION)
+    p_count.add_argument("--method", default=census.METHOD_PARTITION,
+                         choices=(census.METHOD_PARTITION, census.METHOD_PERMUTATION))
     add_format(p_count, FORMAT_PLAIN, FORMAT_JSON)
     add_jobs(p_count)
     # None: count reads the guard only under --method permutation, and

@@ -7,7 +7,8 @@ Inducing to the action on k-tuples replaces each monomial by the cycle
 structure of the corresponding permutation of the n^k tuples: an ordered
 k-tuple of cycle lengths (r_1, ..., r_k) contributes tuple-cycles of length
 L = lcm(r_1, ..., r_k), and there are (r_1 * ... * r_k / L) * j_{r_1} * ... * j_{r_k}
-of them.
+of them (arith.induced_exponents; the harrison-gcd variant puts
+gcd(r_1, ..., r_k) in place of the first factor).
 
 Monomials carry the cycle type they came from and are never merged across
 cycle types, even when the exponent maps coincide (at power 0 every
@@ -18,13 +19,18 @@ provenance, which is exactly what the non-faithful power-0 action needs.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
 
-from .arith import CycleType, cycle_type_count, enumerate_cycle_types, lcm_list
+from .arith import (
+    VARIANT_CORRECT,
+    CycleType,
+    cycle_type_count,
+    enumerate_cycle_types,
+    induced_exponents,
+)
 
 
 class Monomial(namedtuple("Monomial", "origin exponents")):
@@ -111,16 +117,13 @@ class CycleIndexPoly(namedtuple("CycleIndexPoly", "n power terms")):
         }
 
 
-def _weight(j: CycleType) -> Fraction:
-    return Fraction(cycle_type_count(j), math.factorial(j.n))
-
-
 def cycle_index_direct(n: int) -> CycleIndexPoly:
     """Cycle index of the natural action, built term by term from the cycle types."""
+    factorial = math.factorial(n)
     terms = []
     for j in enumerate_cycle_types(n):
         exps = tuple((i, c) for i, c in enumerate(j.j, start=1) if c > 0)
-        terms.append((_weight(j), Monomial(j, exps)))
+        terms.append((Fraction(cycle_type_count(j), factorial), Monomial(j, exps)))
     return CycleIndexPoly(n, None, tuple(terms))
 
 
@@ -156,30 +159,21 @@ def cycle_index_recursive(n: int) -> CycleIndexPoly:
     return CycleIndexPoly(n, None, tuple(terms))
 
 
-def induce(z: CycleIndexPoly, k: int) -> CycleIndexPoly:
+def induce(z: CycleIndexPoly, k: int, variant: str = VARIANT_CORRECT) -> CycleIndexPoly:
     """Cycle index of the coordinatewise action on k-tuples, term by term.
 
-    Iterates ordered k-tuples over the support of each cycle type only;
-    tuples hitting an absent cycle length would contribute exponent 0.
-    Within one origin, factors with equal tuple-cycle length merge by
-    adding exponents; distinct origins never merge. k = 0 yields t1 for
-    every origin (one tuple-cycle: the empty tuple is fixed).
+    Each monomial becomes t_L^e over the exponents induced_exponents gives
+    its origin under the variant's convention. Within one origin, factors
+    with equal tuple-cycle length merge by adding exponents; distinct
+    origins never merge. k = 0 yields t1 for every origin (one
+    tuple-cycle: the empty tuple is fixed).
     """
     if not z.is_natural:
         raise ValueError("induce expects the cycle index of the natural action")
-    if k < 0:
-        raise ValueError(f"negative power {k}")
     terms = []
     for coeff, mono in z.terms:
-        j = mono.origin
-        exps: dict[int, int] = {}
-        for lengths in itertools.product(j.support(), repeat=k):
-            length = lcm_list(lengths)
-            count = (math.prod(lengths) // length) * math.prod(
-                j.cycles_of_length(r) for r in lengths
-            )
-            exps[length] = exps.get(length, 0) + count
-        terms.append((coeff, Monomial(j, tuple(sorted(exps.items())))))
+        exps = induced_exponents(mono.origin, k, variant)
+        terms.append((coeff, Monomial(mono.origin, tuple(sorted(exps.items())))))
     return CycleIndexPoly(z.n, k, tuple(terms))
 
 

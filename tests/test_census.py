@@ -28,7 +28,7 @@ from magma_census import (
     weighted_divisor_sum,
 )
 from magma_census import arith, census, cli
-from magma_census.census import _induce_harrison, sequence_in_k
+from magma_census.census import sequence_in_k
 from magma_census.oracle import fixed_tables_enumerated
 
 from conftest import partition_count
@@ -81,7 +81,7 @@ def test_fixed_point_count_harrison_matches_induced_monomial():
     for n in range(0, 10):
         z = cycle_index_direct(n)
         for k in range(1, 5):
-            for _, mono in _induce_harrison(z, k).terms:
+            for _, mono in induce(z, k, VARIANT_HARRISON).terms:
                 j = mono.origin
                 support = [r for r in range(1, n + 1) if j.j[r - 1]]
                 exps = {}
@@ -289,6 +289,13 @@ def test_cycle_index_route_harrison():
             count_via_cycle_index(n, k, VARIANT_HARRISON).count
             == count_k_magmas(n, k, VARIANT_HARRISON).count
         ), f"n={n} k={k}"
+
+
+def test_cycle_index_route_names_itself():
+    # A library caller can tell which route made a result.
+    assert count_via_cycle_index(3, 2).query.method == "cycle-index"
+    assert count_k_magmas(3, 2).query.method == "partition"
+    assert count_via_permutation_sum(3, 2).query.method == "permutation"
 
 
 def test_harrison_literal_loop_matches_the_walk_at_arity_two():

@@ -1,5 +1,6 @@
 """End-to-end runs of the installed command line, checked byte for byte."""
 
+import hashlib
 import json
 import os
 import select
@@ -138,6 +139,25 @@ def test_cycle_index_json():
     assert payload["terms"][0]["origin"] == [2, 0]
 
 
+# SHA-256 over the stdout of every `cycle-index` run below, in that order.
+_CYCLE_INDEX_DIGEST = "62f63cc1f14c886809fcc4db84d611a669dff8c4e5f75c9f0ae36e12852552b8"
+
+
+def test_cycle_index_stdout_digest(capsys):
+    # Every n <= 10, natural and induced to powers 0..3, in both formats;
+    # in-process, since 110 interpreter start-ups would dominate the run.
+    digest = hashlib.sha256()
+    for n in range(0, 11):
+        for power in (None, 0, 1, 2, 3):
+            for fmt in ("plain", "json"):
+                argv = ["cycle-index", "--n", str(n), "--format", fmt]
+                if power is not None:
+                    argv += ["--power", str(power)]
+                assert cli.entry_point(argv) == 0
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _CYCLE_INDEX_DIGEST
+
+
 def test_verify_variant_suite():
     r = run_cli("verify", "--suite", "variant")
     assert r.returncode == 0
@@ -171,6 +191,8 @@ _USAGE_ERRORS = [
     ("count", "--n", "2", "--k", "2", "--variant", "wrong"),
     ("count", "--n", "2", "--k", "2", "--format", "bfile"),
     ("count", "--n", "2", "--k", "0", "--variant", "harrison-gcd"),
+    # The cycle-index route is a library cross-check, not a count method.
+    ("count", "--n", "3", "--k", "2", "--method", "cycle-index"),
     ("verify", "--format", "json"),
     ("verify", "--n-max", "-1"),
 ]
@@ -218,9 +240,7 @@ def test_self_refuting_variant_exit_1():
     assert "non-integral" in r.stderr
 
 
-def test_jobs_env_fallback():
-    import os
-
+def test_jobs_env_is_not_read():
     env = dict(os.environ, MAGMA_CENSUS_JOBS="2")
     r = run_cli("count", "--n", "4", "--k", "2", env=env)
     assert r.returncode == 0

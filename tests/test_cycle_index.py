@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from magma_census import (
+    VARIANT_HARRISON,
     CycleIndexPoly,
     Monomial,
     cycle_index_direct,
@@ -73,6 +74,21 @@ def test_induce_power_one_is_identity_on_exponents():
         for (c0, m0), (c1, m1) in zip(z.terms, z1.terms):
             assert c0 == c1
             assert m0.exponents == m1.exponents
+
+
+def test_induce_gcd_variant():
+    # gcd * lcm = r * s, so the two conventions agree through arity 2 ...
+    for n in range(0, 10):
+        z = cycle_index_direct(n)
+        for k in (1, 2):
+            assert induce(z, k, VARIANT_HARRISON).terms == induce(z, k).terms
+    # ... and part at arity 3, where a 2-cycle threads 4 chains, not gcd 2.
+    z = cycle_index_direct(2)
+    assert induce(z, 3, VARIANT_HARRISON).render() == "1/2*t1^8 + 1/2*t2^2"
+    assert induce(z, 3).render() == "1/2*t1^8 + 1/2*t2^4"
+    for k, variant in ((0, VARIANT_HARRISON), (-1, "correct"), (2, "wrong")):
+        with pytest.raises(ValueError):
+            induce(z, k, variant)
 
 
 def test_substitute_constant_two_counts_subsets():
