@@ -30,7 +30,6 @@ _EXPORTS = {
         "count_via_cycle_index",
         "count_via_permutation_sum",
         "fixed_point_count",
-        "fixed_point_count_harrison",
         "sequence",
         "weighted_divisor_sum",
     ),
@@ -44,7 +43,6 @@ _EXPORTS = {
         "substitute_per_monomial",
     ),
     "oracle": (
-        "EnumerationCapError",
         "OpTable",
         "act",
         "all_tables",

@@ -35,8 +35,8 @@ come from tables built once per walk.
 The weighted sum fpc(j) * n!/z_j is kept in exact integers and divided by
 n! once at the end, after checking that the weights n!/z_j sum to n!
 exactly, which a single missed or repeated cycle type cannot pass. It runs
-serially in the calling process. fixed_point_count takes the same steps
-along the one path that spells its cycle type.
+serially in the calling process. fixed_point_count(j, k) takes the same
+steps along the one path that spells j.
 
 Three independent evaluation routes are kept deliberately separate: the
 partition-weighted sum, the literal average over all n! permutations, and
@@ -47,15 +47,16 @@ The harrison-gcd variant reproduces a historically published exponent that
 replaces the chain count r_1*...*r_k / lcm with gcd(r_1, ..., r_k). The two
 agree for arity at most 2 (gcd * lcm = r*s) and diverge from (n, k) = (2, 3)
 on; the variant is kept as a counting foil, not for use. The walk serves
-the correct count only: every route computes the variant by the literal
-per-tuple loop the induced cycle index uses (arith.induced_exponents), with
-the gcd in place of the chain count, which is much slower at large n.
+the correct count only. fixed_point_count(j, k, variant) is the one
+per-type count under either rule: given the gcd rule it runs the literal
+per-tuple loop the induced cycle index uses (arith.induced_exponents),
+which is much slower at large n, and every route computes the variant
+through that loop.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import namedtuple
 from typing import Iterator
 
@@ -96,17 +97,17 @@ class CensusQuery(namedtuple("CensusQuery", "n k variant method")):
         return super().__new__(cls, n, k, variant, method)
 
 
-class CensusResult(namedtuple("CensusResult", "query count terms_evaluated elapsed")):
+class CensusResult(namedtuple("CensusResult", "query count terms_evaluated")):
     """A computed count plus how it was obtained.
 
     terms_evaluated is the number of summands the route added up: cycle
     types for the partition and cycle-index routes, n! for the permutation
-    route. elapsed is wall-clock seconds.
+    route.
     """
 
     __slots__ = ()
 
-    def __new__(cls, query: CensusQuery, count: int, terms_evaluated: int, elapsed: float):
+    def __new__(cls, query: CensusQuery, count: int, terms_evaluated: int):
         if count < 0:
             raise ValueError(f"negative count {count}")
         if count == 0 and (query.n, query.k) != (0, 0):
@@ -114,7 +115,7 @@ class CensusResult(namedtuple("CensusResult", "query count terms_evaluated elaps
                 f"count 0 is only possible at (n, k) = (0, 0), "
                 f"got ({query.n}, {query.k})"
             )
-        return super().__new__(cls, query, count, terms_evaluated, elapsed)
+        return super().__new__(cls, query, count, terms_evaluated)
 
 
 def weighted_divisor_sum(j: CycleType, m: int) -> int:
@@ -253,10 +254,38 @@ def _empty_set_fixed_points(k: int) -> int:
     return 1 if k else 0
 
 
-def _per_type(j: CycleType, k: int) -> int:
-    # The walk's edges along the one path that spells j.
+def fixed_point_count(j: CycleType, k: int, variant: str = VARIANT_CORRECT) -> int:
+    """Number of k-ary tables fixed by any permutation of cycle type j.
+
+    Product over ordered k-tuples (r_1, ..., r_k) of cycle lengths in the
+    support of j: each tuple contributes the weighted divisor sum of
+    L = lcm(r_1, ..., r_k) raised to m * j_{r_1}*...*j_{r_k}, where the
+    variant names the multiplier m. The correct count takes the chains
+    each choice of cycles threads, m = r_1*...*r_k / L, and is computed by
+    folding the parts (r, j_r) of j in one at a time, the same steps
+    count_k_magmas takes down its walk: F_m maps each L to the summed
+    weight prod r_i * j_{r_i} of the m-tuples with lcm L, so the exponent
+    of L is F_k[L] / L and each distinct L pays one power. The empty
+    ground set gives 1 for k >= 1 (empty product) and 0 for k = 0, where
+    the lone factor is j_1^1 = 0^1.
+
+    Any other variant runs the literal per-tuple loop that induces the
+    cycle index (arith.induced_exponents) over all |support(j)|^k tuples,
+    which refuses an unknown variant. The harrison-gcd variant takes
+    m = gcd(r_1, ..., r_k): the same count for k <= 2, since
+    gcd(r, s) * lcm(r, s) = r * s, and an undercount from arity 3 on;
+    arity 0 is refused, as there is no gcd of nothing.
+    """
+    if variant != VARIANT_CORRECT:
+        return math.prod(
+            weighted_divisor_sum(j, length) ** e
+            for length, e in induced_exponents(j, k, variant).items()
+        )
+    if k < 0:
+        raise ValueError(f"negative arity {k}")
     if j.n == 0:
         return _empty_set_fixed_points(k)
+    # The walk's edges along the one path that spells j.
     walk = _walk_tables(j.n, k)
     fold, bases, done, parts, rest = _empty_fold(k), {}, 1, (), j.n
     for r, c in enumerate(j.j, start=1):
@@ -266,41 +295,6 @@ def _per_type(j: CycleType, k: int) -> int:
             fold, bases, settled = _join(fold, bases, parts, rest, walk)
             done *= settled
     return done
-
-
-def fixed_point_count(j: CycleType, k: int) -> int:
-    """Number of k-ary tables fixed by any permutation of cycle type j.
-
-    Product over ordered k-tuples (r_1, ..., r_k) of cycle lengths in the
-    support of j: each tuple contributes the weighted divisor sum of
-    L = lcm(r_1, ..., r_k) raised to (r_1*...*r_k / L) * j_{r_1}*...*j_{r_k}.
-    Computed by folding the parts (r, j_r) of j in one at a time, the same
-    steps count_k_magmas takes down its walk: F_m maps each L to the
-    summed weight prod r_i * j_{r_i} of the m-tuples with lcm L, so the
-    exponent of L is F_k[L] / L and each distinct L pays one power. The
-    empty ground set gives 1 for k >= 1 (empty product) and 0 for k = 0,
-    where the lone factor is j_1^1 = 0^1.
-    """
-    if k < 0:
-        raise ValueError(f"negative arity {k}")
-    return _per_type(j, k)
-
-
-def fixed_point_count_harrison(j: CycleType, k: int) -> int:
-    """The gcd-exponent variant of fixed_point_count. Wrong for k >= 3.
-
-    Identical to the correct count for k <= 2, since gcd(r, s) * lcm(r, s)
-    = r * s; from arity 3 on the gcd undercounts the chains each entry
-    determines. Arity 1 has a single cycle length per tuple and multiplier
-    1 either way; arity 0 is rejected, as there is no gcd of nothing.
-    Computed by the literal per-tuple loop that induces the cycle index
-    (arith.induced_exponents) over all |support(j)|^k ordered tuples, with
-    the gcd as multiplier and one power of weighted_divisor_sum(j, L) per L.
-    """
-    return math.prod(
-        weighted_divisor_sum(j, length) ** e
-        for length, e in induced_exponents(j, k, VARIANT_HARRISON).items()
-    )
 
 
 def _cycle_type_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
@@ -356,21 +350,20 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     carries z_j, the part-by-part fold and the product of the settled
     tuple-cycle lengths down the tree, so neighbouring types share every
     part they have in common. The gcd variant instead sums
-    fixed_point_count_harrison over enumerate_cycle_types(n), one cycle
-    type at a time. Either way the weights n!/z_j must sum to n! exactly,
-    which also catches a single type visited twice or missed; anything
-    else raises. Serial and in a fixed order, so the result is the same
-    bit for bit on every run.
+    fixed_point_count(j, k, variant) over enumerate_cycle_types(n), one
+    cycle type at a time. Either way the weights n!/z_j must sum to n!
+    exactly, which also catches a single type visited twice or missed;
+    anything else raises. Serial and in a fixed order, so the result is
+    the same bit for bit on every run.
     """
-    start = time.perf_counter()
     query = CensusQuery(n, k, variant, METHOD_PARTITION)
-    if variant == VARIANT_HARRISON:
+    if variant == VARIANT_CORRECT:
+        terms = _cycle_type_terms(n, k)
+    else:
         terms = (
-            (fixed_point_count_harrison(j, k), cycle_type_count(j))
+            (fixed_point_count(j, k, variant), cycle_type_count(j))
             for j in enumerate_cycle_types(n)
         )
-    else:
-        terms = _cycle_type_terms(n, k)
     total = weights = evaluated = 0
     for fpc, weight in terms:
         total += fpc * weight
@@ -382,7 +375,7 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
             f"cycle-type weights sum to {weights}, not {n}! = {factorial}"
         )
     count = _exact_average(total, n, k)
-    return CensusResult(query, count, evaluated, time.perf_counter() - start)
+    return CensusResult(query, count, evaluated)
 
 
 def count_via_permutation_sum(
@@ -399,22 +392,18 @@ def count_via_permutation_sum(
     """
     if n > perm_guard:
         raise GuardError(f"n={n} exceeds the permutation-sum guard of {perm_guard}")
-    start = time.perf_counter()
     query = CensusQuery(n, k, variant, METHOD_PERMUTATION)
-    per_type = (
-        fixed_point_count_harrison if variant == VARIANT_HARRISON else fixed_point_count
-    )
     cache: dict[tuple[int, ...], int] = {}
     total = 0
     terms = 0
     for p in all_perms(n):
         j = cycle_type_of(p)
         if j.j not in cache:
-            cache[j.j] = per_type(j, k)
+            cache[j.j] = fixed_point_count(j, k, variant)
         total += cache[j.j]
         terms += 1
     count = _exact_average(total, n, k)
-    return CensusResult(query, count, terms, time.perf_counter() - start)
+    return CensusResult(query, count, terms)
 
 
 def count_via_cycle_index(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
@@ -430,11 +419,10 @@ def count_via_cycle_index(n: int, k: int, variant: str = VARIANT_CORRECT) -> Cen
     """
     from .cycle_index import cycle_index_direct, induce, substitute_per_monomial
 
-    start = time.perf_counter()
     query = CensusQuery(n, k, variant, METHOD_CYCLE_INDEX)
     zk = induce(cycle_index_direct(n), k, variant)
     count = substitute_per_monomial(zk, weighted_divisor_sum)
-    return CensusResult(query, count, len(zk.terms), time.perf_counter() - start)
+    return CensusResult(query, count, len(zk.terms))
 
 
 def sequence(

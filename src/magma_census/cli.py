@@ -254,7 +254,7 @@ def _suite_cross_method(args):
     # stops being an integer at all (a quiet proof of its wrongness), so
     # there is no count for the three routes to agree on.
     failures = []
-    top = min(args.n_max, 6, args.perm_guard)
+    top = min(args.n_max, 6)
     triples = 0
     for n in range(0, top + 1):
         for k in range(0, args.k_max + 1):
@@ -263,9 +263,7 @@ def _suite_cross_method(args):
                     continue
                 triples += 1
                 a = census.count_k_magmas(n, k, variant).count
-                b = census.count_via_permutation_sum(
-                    n, k, variant, args.perm_guard
-                ).count
+                b = census.count_via_permutation_sum(n, k, variant).count
                 c = census.count_via_cycle_index(n, k, variant).count
                 if not (a == b == c):
                     failures.append(
@@ -366,11 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=positive,
                        help="accepted and validated (>= 1); has no effect")
 
-    def add_perm_guard(p, default):
-        p.add_argument("--perm-guard", type=natural, default=default,
-                       help="largest n for the permutation-sum method "
-                            f"(default {census.DEFAULT_PERM_GUARD})")
-
     p_count = add_command("count", cmd_count, "one isomorphism-class count")
     p_count.add_argument("--n", type=natural, required=True)
     p_count.add_argument("--k", type=natural, required=True)
@@ -382,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(p_count)
     # None: count reads the guard only under --method permutation, and
     # refuses it otherwise (see cmd_count).
-    add_perm_guard(p_count, None)
+    p_count.add_argument("--perm-guard", type=natural, default=None,
+                         help="largest n for the permutation-sum method "
+                              f"(default {census.DEFAULT_PERM_GUARD})")
 
     p_seq = add_command("sequence", cmd_sequence, "counts over a range of n (or k)")
     p_seq.add_argument("--k", type=natural, help="arity (when varying n)")
@@ -410,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k-max", type=natural, default=3, help=bounds)
     p_ver.add_argument("--max-cells", type=positive, default=DEFAULT_CELL_CAP,
                        help="enumeration cap on n^(n^k) for the burnside suite")
-    add_perm_guard(p_ver, census.DEFAULT_PERM_GUARD)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the structural suite's permutations")
     add_jobs(p_ver)
@@ -440,8 +434,12 @@ def entry_point(argv=None) -> int:
         print(e, file=sys.stderr)
         return EXIT_GUARD
     except ArithmeticError as e:
-        # A sum that refutes its own integrality; reachable through the
-        # gcd variant outside its documented range (first at n=7, k=3).
+        # The package raises a bare ArithmeticError only for a sum that
+        # refutes itself, reachable through the gcd variant outside its
+        # documented range (first at n=7, k=3). A subclass (OverflowError,
+        # ZeroDivisionError, a decimal signal) is an internal fault.
+        if type(e) is not ArithmeticError:
+            raise
         print(e, file=sys.stderr)
         return EXIT_VERIFY_FAILED
 

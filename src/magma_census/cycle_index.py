@@ -26,6 +26,7 @@ from typing import Callable
 
 from .arith import (
     VARIANT_CORRECT,
+    VARIANTS,
     CycleType,
     cycle_type_count,
     enumerate_cycle_types,
@@ -59,25 +60,29 @@ class Monomial(namedtuple("Monomial", "origin exponents")):
         return "*".join(f"t{i}" if e == 1 else f"t{i}^{e}" for i, e in self.exponents)
 
 
-class CycleIndexPoly(namedtuple("CycleIndexPoly", "n power terms")):
+class CycleIndexPoly(namedtuple("CycleIndexPoly", "n power terms variant")):
     """Formal polynomial with exact rational coefficients, one term per cycle type.
 
     power is None for the natural action on points and k for the induced
-    action on k-tuples. Terms stay in cycle-type enumeration order and are
-    never merged, so len(terms) is always the number of partitions of n.
+    action on k-tuples; variant is None or, respectively, the exponent
+    rule the induction used. Terms stay in cycle-type enumeration order and
+    are never merged, so len(terms) is always the number of partitions of n.
     """
 
     __slots__ = ()
 
     def __new__(
-        cls, n: int, power: int | None, terms: tuple[tuple[Fraction, Monomial], ...]
+        cls, n: int, power: int | None, terms: tuple[tuple[Fraction, Monomial], ...],
+        variant: str | None = None,
     ):
+        if (power is None) != (variant is None) or variant not in (None, *VARIANTS):
+            raise ValueError(f"power {power} with variant {variant!r}")
         if any(c <= 0 for c, _ in terms):
             raise ValueError("cycle-index coefficients must be positive")
         total = sum(c for c, _ in terms)
         if total != 1:
             raise ValueError(f"cycle-index coefficients sum to {total}, expected 1")
-        return super().__new__(cls, n, power, terms)
+        return super().__new__(cls, n, power, terms, variant)
 
     @property
     def is_natural(self) -> bool:
@@ -163,10 +168,10 @@ def induce(z: CycleIndexPoly, k: int, variant: str = VARIANT_CORRECT) -> CycleIn
     """Cycle index of the coordinatewise action on k-tuples, term by term.
 
     Each monomial becomes t_L^e over the exponents induced_exponents gives
-    its origin under the variant's convention. Within one origin, factors
-    with equal tuple-cycle length merge by adding exponents; distinct
-    origins never merge. k = 0 yields t1 for every origin (one
-    tuple-cycle: the empty tuple is fixed).
+    its origin under the variant's convention, and the result records the
+    variant. Within one origin, factors with equal tuple-cycle length
+    merge by adding exponents; distinct origins never merge. k = 0 yields
+    t1 for every origin (one tuple-cycle: the empty tuple is fixed).
     """
     if not z.is_natural:
         raise ValueError("induce expects the cycle index of the natural action")
@@ -174,7 +179,7 @@ def induce(z: CycleIndexPoly, k: int, variant: str = VARIANT_CORRECT) -> CycleIn
     for coeff, mono in z.terms:
         exps = induced_exponents(mono.origin, k, variant)
         terms.append((coeff, Monomial(mono.origin, tuple(sorted(exps.items())))))
-    return CycleIndexPoly(z.n, k, tuple(terms))
+    return CycleIndexPoly(z.n, k, tuple(terms), variant)
 
 
 def substitute_per_monomial(

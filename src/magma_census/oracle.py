@@ -32,10 +32,6 @@ from typing import Iterator, Sequence
 
 from .arith import DEFAULT_CELL_CAP, GuardError, Perm, all_perms, apply_tuple
 
-# A brute-force request that would enumerate too many tables is refused by
-# the package's one guard exception; the old name stays importable.
-EnumerationCapError = GuardError
-
 
 class OpTable(namedtuple("OpTable", "n k entries")):
     """A k-ary operation on {0, ..., n-1}, stored as a flat entry tuple."""

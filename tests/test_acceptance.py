@@ -23,7 +23,6 @@ from magma_census import (
     cycle_index_recursive,
     enumerate_cycle_types,
     fixed_point_count,
-    fixed_point_count_harrison,
     fixed_tables_structural,
     induce,
     is_automorphism,
@@ -68,7 +67,7 @@ def test_criterion_2_structural_equivalence():
             for k in range(0, 4):
                 structural = fixed_tables_structural(p, n, k)
                 assert structural == fixed_point_count(j, k), f"n={n} k={k} j={j.j}"
-                if k == 3 and structural != fixed_point_count_harrison(j, 3):
+                if k == 3 and structural != fixed_point_count(j, 3, VARIANT_HARRISON):
                     harrison_breaks += 1
     # The same sweep must refute the gcd exponent somewhere at arity 3;
     # a variant that survives it would make the whole check vacuous.

@@ -21,7 +21,6 @@ from magma_census import (
     cycle_type_of,
     enumerate_cycle_types,
     fixed_point_count,
-    fixed_point_count_harrison,
     induce,
     realize_cycle_type,
     sequence,
@@ -53,7 +52,7 @@ def test_fixed_point_count_empty_set():
     assert fixed_point_count(empty, 0) == 0
     for k in range(1, 6):
         assert fixed_point_count(empty, k) == 1
-        assert fixed_point_count_harrison(empty, k) == 1
+        assert fixed_point_count(empty, k, VARIANT_HARRISON) == 1
 
 
 def _substituted(mono):
@@ -98,7 +97,7 @@ def test_fixed_point_count_harrison_matches_induced_monomial():
                     )
                     expected *= base**e
                 assert dict(mono.exponents) == exps, f"n={n} k={k} j={j.j}"
-                assert fixed_point_count_harrison(j, k) == expected, (
+                assert fixed_point_count(j, k, VARIANT_HARRISON) == expected, (
                     f"n={n} k={k} j={j.j}"
                 )
 
@@ -121,19 +120,37 @@ def test_fixed_point_count_against_enumeration():
 def test_harrison_agrees_at_low_arity():
     for n in range(0, 10):
         for j in enumerate_cycle_types(n):
-            assert fixed_point_count_harrison(j, 1) == fixed_point_count(j, 1)
-            assert fixed_point_count_harrison(j, 2) == fixed_point_count(j, 2)
+            assert fixed_point_count(j, 1, VARIANT_HARRISON) == fixed_point_count(j, 1)
+            assert fixed_point_count(j, 2, VARIANT_HARRISON) == fixed_point_count(j, 2)
 
 
 def test_harrison_diverges_at_arity_three():
     j = CycleType(2, (0, 1))
-    assert fixed_point_count_harrison(j, 3) == 4
+    assert fixed_point_count(j, 3, VARIANT_HARRISON) == 4
     assert fixed_point_count(j, 3) == 16
 
 
 def test_harrison_rejects_arity_zero():
-    with pytest.raises(ValueError):
-        fixed_point_count_harrison(CycleType(2, (2, 0)), 0)
+    # The empty set too, where the correct count at k = 0 is 0.
+    for j in (CycleType(2, (2, 0)), CycleType(0, ())):
+        with pytest.raises(ValueError):
+            fixed_point_count(j, 0, VARIANT_HARRISON)
+
+
+def test_fixed_point_count_refuses_an_unknown_variant():
+    # A dispatch written as `variant == VARIANT_HARRISON` would hand "fast"
+    # to the walk and return the correct count without a word.
+    for n in range(0, 5):
+        for j in enumerate_cycle_types(n):
+            for k in range(0, 4):
+                with pytest.raises(ValueError):
+                    fixed_point_count(j, k, "fast")
+
+
+def test_fixed_point_count_refuses_negative_arity():
+    for variant in (VARIANT_CORRECT, VARIANT_HARRISON):
+        with pytest.raises(ValueError):
+            fixed_point_count(CycleType(2, (0, 1)), -1, variant)
 
 
 def test_count_pinned_values():
@@ -385,10 +402,10 @@ def test_query_validation():
 def test_result_zero_only_at_origin():
     q = CensusQuery(2, 2)
     with pytest.raises(ValueError):
-        CensusResult(q, 0, 2, 0.0)
+        CensusResult(q, 0, 2)
     with pytest.raises(ValueError):
-        CensusResult(q, -1, 2, 0.0)
-    assert CensusResult(CensusQuery(0, 0), 0, 1, 0.0).count == 0
+        CensusResult(q, -1, 2)
+    assert CensusResult(CensusQuery(0, 0), 0, 1).count == 0
 
 
 def test_identity_bound():

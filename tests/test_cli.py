@@ -174,11 +174,11 @@ def test_verify_cycle_index_suite():
 
 
 def test_verify_cross_method_reports_its_coverage():
-    # A PASS says what it covered: --perm-guard narrows the suite to n <= 0.
+    # A PASS says what it covered: --n-max narrows the suite to n <= 0.
     r = run_cli("verify", "--suite", "cross-method")
     assert r.returncode == 0
     assert r.stdout == "cross-method: PASS\n  49 (n, k, variant) triples, n <= 6\n"
-    r = run_cli("verify", "--suite", "cross-method", "--perm-guard", "0")
+    r = run_cli("verify", "--suite", "cross-method", "--n-max", "0")
     assert r.returncode == 0
     assert r.stdout == "cross-method: PASS\n  7 (n, k, variant) triples, n <= 0\n"
 
@@ -335,10 +335,10 @@ _PACKAGE_EXPORTS = (
     "realize_cycle_type", "CensusQuery", "CensusResult", "GuardError",
     "VARIANT_CORRECT", "VARIANT_HARRISON", "count_k_magmas",
     "count_via_cycle_index", "count_via_permutation_sum", "fixed_point_count",
-    "fixed_point_count_harrison", "sequence", "weighted_divisor_sum",
+    "sequence", "weighted_divisor_sum",
     "CycleIndexPoly", "Monomial", "cycle_index_direct", "cycle_index_recursive",
     "induce", "max_indeterminate_index", "substitute_per_monomial",
-    "EnumerationCapError", "OpTable", "act", "all_tables", "canonical_form",
+    "OpTable", "act", "all_tables", "canonical_form",
     "cell_permutation", "count_orbits_bruteforce", "fixed_tables_structural",
     "is_automorphism", "orbit_stabilizer_check", "__version__",
 )
@@ -368,7 +368,7 @@ def test_one_guard_exception():
     # oracle still loads nothing of the census.
     from magma_census import arith, oracle
 
-    assert census.GuardError is oracle.EnumerationCapError is arith.GuardError
+    assert census.GuardError is oracle.GuardError is arith.GuardError
     code = (
         "import sys, magma_census.oracle\n"
         "print('magma_census.census' in sys.modules)\n"
@@ -493,3 +493,15 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(census, "count_k_magmas", broken)
     with pytest.raises(ValueError, match="internal fault"):
         cli.entry_point(["count", "--n", "3", "--k", "2", "--jobs", "1"])
+
+
+def test_internal_arithmetic_fault_is_not_a_refuted_count(monkeypatch):
+    # Exit 1 is for a sum that refutes itself (a bare ArithmeticError); an
+    # OverflowError, say from math.factorial at an n past a C long, is an
+    # internal fault and keeps its traceback.
+    def broken(*args, **kwargs):
+        raise OverflowError("internal fault")
+
+    monkeypatch.setattr(census, "count_k_magmas", broken)
+    with pytest.raises(OverflowError, match="internal fault"):
+        cli.entry_point(["count", "--n", "3", "--k", "2"])

@@ -133,6 +133,19 @@ def test_poly_rejects_bad_weights():
         CycleIndexPoly(1, None, ((Fraction(1, 2), mono),))
 
 
+def test_induced_index_names_its_exponent_rule():
+    z = cycle_index_direct(3)
+    assert z.variant is None
+    assert cycle_index_recursive(3).variant is None
+    assert induce(z, 3).variant == "correct"
+    assert induce(z, 3, VARIANT_HARRISON).variant == VARIANT_HARRISON
+    # A power needs a variant and a variant needs a power, from VARIANTS.
+    terms = induce(z, 3).terms
+    for power, variant in ((3, None), (None, "correct"), (3, "fast")):
+        with pytest.raises(ValueError):
+            CycleIndexPoly(3, power, terms, variant)
+
+
 def test_json_shape():
     d = induce(cycle_index_direct(2), 2).to_json_dict()
     assert d["n"] == 2

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from magma_census import (
-    EnumerationCapError,
+    GuardError,
     OpTable,
     Perm,
     act,
@@ -112,9 +112,9 @@ def test_all_tables_degenerate():
 
 
 def test_all_tables_cap():
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(GuardError):
         list(all_tables(4, 2))
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(GuardError):
         list(all_tables(9, 1))
 
 
@@ -180,12 +180,12 @@ def test_relabel_maps_match_the_definition():
 
 
 def test_orbit_count_cap():
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(GuardError):
         count_orbits_bruteforce(4, 2)
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(GuardError):
         count_orbits_bruteforce(9, 1)
     assert count_orbits_bruteforce(2, 2, cap=16) == 10
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(GuardError):
         count_orbits_bruteforce(2, 2, cap=15)
 
 
