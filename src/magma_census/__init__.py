@@ -16,8 +16,6 @@ _EXPORTS = {
         "cycle_type_of",
         "divisors",
         "enumerate_cycle_types",
-        "gcd_list",
-        "lcm_list",
         "realize_cycle_type",
     ),
     "census": (

@@ -31,34 +31,6 @@ VARIANT_HARRISON = "harrison-gcd"
 VARIANTS = (VARIANT_CORRECT, VARIANT_HARRISON)
 
 
-def lcm_list(xs: Iterable[int]) -> int:
-    """Least common multiple of a sequence of positive integers.
-
-    The empty sequence has lcm 1 (neutral element of lcm) and a
-    singleton (r,) has lcm r.
-    """
-    xs = tuple(xs)
-    for x in xs:
-        if x <= 0:
-            raise ValueError(f"lcm_list requires positive entries, got {x}")
-    return math.lcm(*xs)
-
-
-def gcd_list(xs: Iterable[int]) -> int:
-    """Greatest common divisor of a non-empty sequence of positive integers.
-
-    There is no useful empty-gcd convention here, so an empty sequence is
-    rejected rather than silently mapped to 0.
-    """
-    xs = tuple(xs)
-    if not xs:
-        raise ValueError("gcd_list requires a non-empty sequence")
-    for x in xs:
-        if x <= 0:
-            raise ValueError(f"gcd_list requires positive entries, got {x}")
-    return math.gcd(*xs)
-
-
 def divisors(m: int) -> list[int]:
     """Sorted positive divisors of m >= 1, by trial division."""
     if m <= 0:
@@ -129,8 +101,8 @@ def induced_exponents(
     gcd_rule = variant == VARIANT_HARRISON and k >= 2
     exps: dict[int, int] = {}
     for lengths in itertools.product(j.support(), repeat=k):
-        length = lcm_list(lengths)
-        multiplier = gcd_list(lengths) if gcd_rule else math.prod(lengths) // length
+        length = math.lcm(*lengths)
+        multiplier = math.gcd(*lengths) if gcd_rule else math.prod(lengths) // length
         count = multiplier * math.prod(j.cycles_of_length(r) for r in lengths)
         exps[length] = exps.get(length, 0) + count
     return exps
@@ -260,7 +232,7 @@ class Perm(namedtuple("Perm", "images")):
         return out
 
     def order(self) -> int:
-        return lcm_list(len(c) for c in self.cycles())
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def __str__(self):
         # 1-based cycle notation for display, e.g. "(1 3 4)(2 5)".

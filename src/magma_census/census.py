@@ -378,20 +378,15 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     return CensusResult(query, count, evaluated)
 
 
-def count_via_permutation_sum(
-    n: int,
-    k: int,
-    variant: str = VARIANT_CORRECT,
-    perm_guard: int = DEFAULT_PERM_GUARD,
-) -> CensusResult:
+def count_via_permutation_sum(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
     """The same count by literally averaging over all n! permutations.
 
     Exists to be compared against count_k_magmas, so it shares no grouping
     logic with it: every permutation is visited, its cycle type read off,
     and the per-type count cached only as a speedup.
     """
-    if n > perm_guard:
-        raise GuardError(f"n={n} exceeds the permutation-sum guard of {perm_guard}")
+    if n > DEFAULT_PERM_GUARD:
+        raise GuardError(f"n={n} exceeds the permutation-sum guard of {DEFAULT_PERM_GUARD}")
     query = CensusQuery(n, k, variant, METHOD_PERMUTATION)
     cache: dict[tuple[int, ...], int] = {}
     total = 0

@@ -140,12 +140,9 @@ def _refuse_nullary_gcd(args, arity: int) -> None:
 
 
 def cmd_count(args) -> int:
-    if args.perm_guard is not None and args.method != census.METHOD_PERMUTATION:
-        args.usage_error("--perm-guard applies only to --method permutation")
     _refuse_nullary_gcd(args, args.k)
     if args.method == census.METHOD_PERMUTATION:
-        guard = census.DEFAULT_PERM_GUARD if args.perm_guard is None else args.perm_guard
-        result = census.count_via_permutation_sum(args.n, args.k, args.variant, guard)
+        result = census.count_via_permutation_sum(args.n, args.k, args.variant)
     else:
         result = census.count_k_magmas(args.n, args.k, args.variant)
     if args.format == FORMAT_JSON:
@@ -205,20 +202,20 @@ def cmd_cycle_index(args) -> int:
 _BURNSIDE_K_MAX = 6
 
 
-def _feasible_pairs(max_cells: int):
+def _feasible_pairs():
     for n in range(0, 9):
         for k in range(0, _BURNSIDE_K_MAX + 1):
-            if n ** (n**k) <= max_cells:
+            if n ** (n**k) <= DEFAULT_CELL_CAP:
                 yield n, k
 
 
-def _suite_burnside(args):
+def _suite_burnside():
     from . import oracle
 
     failures = []
     pairs = 0
-    for n, k in _feasible_pairs(args.max_cells):
-        brute = oracle.count_orbits_bruteforce(n, k, args.max_cells)
+    for n, k in _feasible_pairs():
+        brute = oracle.count_orbits_bruteforce(n, k)
         formula = census.count_k_magmas(n, k).count
         pairs += 1
         if brute != formula:
@@ -226,18 +223,18 @@ def _suite_burnside(args):
     return failures, [f"{pairs} (n, k) pairs under the cap"]
 
 
-def _suite_structural(args):
+def _suite_structural():
     import random
 
     from . import oracle
 
-    rng = random.Random(args.seed)
+    rng = random.Random(DEFAULT_SEED)
     failures = []
     checked = 0
-    for n in range(0, args.n_max + 1):
+    for n in range(0, 9):
         for j in enumerate_cycle_types(n):
             p = realize_cycle_type(j, rng)
-            for k in range(0, args.k_max + 1):
+            for k in range(0, 4):
                 structural = oracle.fixed_tables_structural(p, n, k)
                 closed = census.fixed_point_count(j, k)
                 checked += 1
@@ -249,15 +246,15 @@ def _suite_structural(args):
     return failures, [f"{checked} (cycle type, k) pairs"]
 
 
-def _suite_cross_method(args):
+def _suite_cross_method():
     # Capped at n = 6: from (7, 3) on, the gcd variant's average over S_n
     # stops being an integer at all (a quiet proof of its wrongness), so
     # there is no count for the three routes to agree on.
     failures = []
-    top = min(args.n_max, 6)
+    top = 6
     triples = 0
     for n in range(0, top + 1):
-        for k in range(0, args.k_max + 1):
+        for k in range(0, 4):
             for variant in census.VARIANTS:
                 if variant == census.VARIANT_HARRISON and k == 0:
                     continue
@@ -273,7 +270,7 @@ def _suite_cross_method(args):
     return failures, [f"{triples} (n, k, variant) triples, n <= {top}"]
 
 
-def _suite_variant(args):
+def _suite_variant():
     # The gcd variant must track the correct count through every k <= 2
     # and break first at n=2, k=3, undercounting 130 against 136. The
     # k=3 scan stops at n=6, where the variant still yields integers.
@@ -301,7 +298,7 @@ def _suite_variant(args):
     return failures, [f"first divergence at n={n} k={k}: {bad} != {good}"]
 
 
-def _suite_cycle_index(args):
+def _suite_cycle_index():
     from . import cycle_index
 
     failures = []
@@ -334,7 +331,7 @@ def cmd_verify(args) -> int:
     suites = args.suite or list(VERIFY_SUITES)
     any_failed = False
     for suite in suites:
-        failures, notes = _SUITE_RUNNERS[suite](args)
+        failures, notes = _SUITE_RUNNERS[suite]()
         print(f"{suite}: {'FAIL' if failures else 'PASS'}")
         for line in failures:
             any_failed = True
@@ -373,11 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=(census.METHOD_PARTITION, census.METHOD_PERMUTATION))
     add_format(p_count, FORMAT_PLAIN, FORMAT_JSON)
     add_jobs(p_count)
-    # None: count reads the guard only under --method permutation, and
-    # refuses it otherwise (see cmd_count).
-    p_count.add_argument("--perm-guard", type=natural, default=None,
-                         help="largest n for the permutation-sum method "
-                              f"(default {census.DEFAULT_PERM_GUARD})")
 
     p_seq = add_command("sequence", cmd_sequence, "counts over a range of n (or k)")
     p_seq.add_argument("--k", type=natural, help="arity (when varying n)")
@@ -400,13 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = add_command("verify", cmd_verify, "run the invariant suites")
     p_ver.add_argument("--suite", action="append", choices=VERIFY_SUITES,
                        help="suite to run (repeatable); default all")
-    bounds = "bounds only the structural and cross-method suites"
-    p_ver.add_argument("--n-max", type=natural, default=8, help=bounds)
-    p_ver.add_argument("--k-max", type=natural, default=3, help=bounds)
-    p_ver.add_argument("--max-cells", type=positive, default=DEFAULT_CELL_CAP,
-                       help="enumeration cap on n^(n^k) for the burnside suite")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for the structural suite's permutations")
     add_jobs(p_ver)
 
     return parser

@@ -110,16 +110,9 @@ def act(p: Perm, t: OpTable) -> OpTable:
 
 def all_tables(n: int, k: int, cap: int = DEFAULT_CELL_CAP) -> Iterator[OpTable]:
     """Every k-ary operation table on n elements, in lexicographic entry order."""
-    total = _guarded_total(n, k, cap)
-    cells = n**k
-    entries = [0] * cells
-    for _ in range(total):
-        yield OpTable(n, k, tuple(entries))
-        for pos in range(cells - 1, -1, -1):
-            entries[pos] += 1
-            if entries[pos] < n:
-                break
-            entries[pos] = 0
+    _guarded_total(n, k, cap)
+    for entries in itertools.product(range(n), repeat=n**k):
+        yield OpTable(n, k, entries)
 
 
 def _guarded_total(n: int, k: int, cap: int) -> int:

@@ -11,40 +11,11 @@ from magma_census import (
     cycle_type_of,
     divisors,
     enumerate_cycle_types,
-    gcd_list,
-    lcm_list,
     realize_cycle_type,
 )
 from magma_census.arith import apply_tuple
 
 from conftest import partition_count, random_perm
-
-
-def test_lcm_conventions():
-    assert lcm_list(()) == 1
-    assert lcm_list((5,)) == 5
-    assert lcm_list((4, 6)) == 12
-    assert lcm_list((2, 3, 4)) == 12
-    with pytest.raises(ValueError):
-        lcm_list((0,))
-    with pytest.raises(ValueError):
-        lcm_list((3, -1))
-
-
-def test_gcd_rejects_empty():
-    assert gcd_list((5,)) == 5
-    assert gcd_list((12, 18)) == 6
-    assert gcd_list((4, 6, 8)) == 2
-    with pytest.raises(ValueError):
-        gcd_list(())
-    with pytest.raises(ValueError):
-        gcd_list((0, 2))
-
-
-def test_gcd_lcm_product_identity():
-    for r in range(1, 9):
-        for s in range(1, 9):
-            assert gcd_list((r, s)) * lcm_list((r, s)) == r * s
 
 
 def test_divisors():
@@ -131,7 +102,7 @@ def test_perm_cycles_roundtrip(rng):
         n = rng.randrange(1, 8)
         p = random_perm(rng, n)
         assert Perm.from_cycles(n, p.cycles()) == p
-        assert p.order() == lcm_list(tuple(len(c) for c in p.cycles()) or (1,))
+        assert p.order() == math.lcm(*(len(c) for c in p.cycles()))
 
 
 def test_all_perms_is_lexicographic():

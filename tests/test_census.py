@@ -186,7 +186,7 @@ def test_permutation_sum_term_count():
 def test_permutation_sum_guard():
     with pytest.raises(GuardError):
         count_via_permutation_sum(9, 2)
-    assert count_via_permutation_sum(4, 2, perm_guard=4).count == 178981952
+    assert count_via_permutation_sum(8, 0).count == 1
 
 
 def test_cycle_index_route_matches():
@@ -306,6 +306,17 @@ def test_cycle_index_route_harrison():
             count_via_cycle_index(n, k, VARIANT_HARRISON).count
             == count_k_magmas(n, k, VARIANT_HARRISON).count
         ), f"n={n} k={k}"
+
+
+def test_three_routes_agree_at_arity_four():
+    # One arity past the cross-method suite's grid: the literal per-tuple
+    # loop under both exponent conventions, through all three routes.
+    for n in range(0, 7):
+        for variant in (VARIANT_CORRECT, VARIANT_HARRISON):
+            a = count_k_magmas(n, 4, variant).count
+            b = count_via_permutation_sum(n, 4, variant).count
+            c = count_via_cycle_index(n, 4, variant).count
+            assert a == b == c, f"n={n} {variant}: {a}, {b}, {c}"
 
 
 def test_cycle_index_route_names_itself():
