@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
 from typing import Iterable, Iterator
 
@@ -61,9 +62,9 @@ class CycleType(namedtuple("CycleType", "n j")):
             raise ValueError(f"negative ground-set size {n}")
         if len(j) != n:
             raise ValueError(f"cycle-count vector has length {len(j)}, expected {n}")
-        if any(c < 0 for c in j):
+        if j and min(j) < 0:
             raise ValueError(f"negative cycle count in {j}")
-        if sum(i * c for i, c in enumerate(j, start=1)) != n:
+        if sum(map(operator.mul, j, range(1, n + 1))) != n:
             raise ValueError(f"cycle counts {j} do not partition {n}")
         return super().__new__(cls, n, j)
 
@@ -118,21 +119,33 @@ def enumerate_cycle_types(n: int) -> Iterator[CycleType]:
     """
     if n < 0:
         raise ValueError(f"negative ground-set size {n}")
-    for parts in _partitions_desc(n, n):
-        j = [0] * n
-        for p in parts:
-            j[p - 1] += 1
-        yield CycleType(n, tuple(j))
-
-
-def _partitions_desc(n, max_part):
-    # Parts descending within each tuple; tuples ascend lexicographically.
     if n == 0:
-        yield ()
+        yield CycleType(0, ())
         return
-    for first in range(1, min(n, max_part) + 1):
-        for rest in _partitions_desc(n - first, first):
-            yield (first,) + rest
+    # j[i] counts the parts of length i. Written with parts descending, the
+    # next partition raises the first part equal to the second-to-last one,
+    # x, by one, and turns every part after it into ones: the other parts
+    # equal to x and the parts below x give back their sum, less one, as
+    # ones. The last partition, (n,), has no second-to-last part.
+    j = [0] * (n + 1)
+    j[1] = n
+    while True:
+        yield CycleType(n, tuple(j[1:]))
+        x = 1
+        while not j[x]:
+            x += 1
+        freed = x * j[x]
+        if j[x] == 1:
+            j[x] = 0
+            x += 1
+            while x <= n and not j[x]:
+                x += 1
+            if x > n:
+                return
+            freed += x * j[x]
+        j[x] = 0
+        j[x + 1] += 1
+        j[1] = freed - x - 1
 
 
 def cycle_type_count(j: CycleType) -> int:

@@ -19,7 +19,9 @@ provenance, which is exactly what the non-faithful power-0 action needs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from typing import Callable
@@ -45,9 +47,9 @@ class Monomial(namedtuple("Monomial", "origin exponents")):
 
     def __new__(cls, origin: CycleType, exponents: tuple[tuple[int, int], ...]):
         indices = [i for i, _ in exponents]
-        if indices != sorted(set(indices)):
+        if any(map(operator.ge, indices, indices[1:])):
             raise ValueError(f"exponent indices not sorted and distinct: {exponents}")
-        if any(i < 1 or e < 1 for i, e in exponents):
+        if indices and (min(indices) < 1 or min(map(operator.itemgetter(1), exponents)) < 1):
             raise ValueError(f"indices must be >= 1 and exponents positive: {exponents}")
         return super().__new__(cls, origin, exponents)
 
@@ -61,7 +63,8 @@ class Monomial(namedtuple("Monomial", "origin exponents")):
 
 
 class CycleIndexPoly(namedtuple("CycleIndexPoly", "n power terms variant")):
-    """Formal polynomial with exact rational coefficients, one term per cycle type.
+    """Formal polynomial with exact rational coefficients (Fraction or int), one
+    term per cycle type.
 
     power is None for the natural action on points and k for the induced
     action on k-tuples; variant is None or, respectively, the exponent
@@ -77,10 +80,17 @@ class CycleIndexPoly(namedtuple("CycleIndexPoly", "n power terms variant")):
     ):
         if (power is None) != (variant is None) or variant not in (None, *VARIANTS):
             raise ValueError(f"power {power} with variant {variant!r}")
-        if any(c <= 0 for c, _ in terms):
+        # Coefficients are rationals: the sign sits in the numerator, and the
+        # sum is taken over their least common denominator, in integers.
+        numerators = [c.numerator for c, _ in terms]
+        denominators = [c.denominator for c, _ in terms]
+        if numerators and min(numerators) <= 0:
             raise ValueError("cycle-index coefficients must be positive")
-        total = sum(c for c, _ in terms)
-        if total != 1:
+        common = math.lcm(*denominators)
+        scaled = sum(map(operator.mul, numerators,
+                         map(operator.floordiv, itertools.repeat(common), denominators)))
+        if scaled != common:
+            total = Fraction(scaled, common)
             raise ValueError(f"cycle-index coefficients sum to {total}, expected 1")
         return super().__new__(cls, n, power, terms, variant)
 
@@ -133,32 +143,42 @@ def cycle_index_direct(n: int) -> CycleIndexPoly:
 
 
 @functools.cache
-def _recursive_table(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], Fraction], ...]:
-    # Z_0 = 1; Z_n = (1/n) sum_{i=1..n} t_i Z_{n-i}. Keys are exponent
-    # tuples; entries are kept sorted so the memo is canonical.
+def _recursive_table(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # N_n = n! Z_n in integer coefficients, keyed by cycle-count vectors j
+    # of length n. From Z_n = (1/n) sum_{i=1..n} t_i Z_{n-i}: N_0 = 1 and
+    # N_n = sum_i (n-1)!/(n-i)! t_i N_{n-i}, where t_i pads j to length n
+    # and adds one i-cycle.
     if n == 0:
-        return (((), Fraction(1)),)
-    acc: dict[tuple[tuple[int, int], ...], Fraction] = {}
+        return (((), 1),)
+    acc: dict[tuple[int, ...], int] = {}
+    falling = 1  # (n-1)!/(n-i)!
     for i in range(1, n + 1):
+        pad = (0,) * i
         for key, coeff in _recursive_table(n - i):
-            exps = dict(key)
-            exps[i] = exps.get(i, 0) + 1
-            new_key = tuple(sorted(exps.items()))
-            acc[new_key] = acc.get(new_key, Fraction(0)) + coeff
-    return tuple(sorted((k, c / n) for k, c in acc.items()))
+            j = list(key + pad)
+            j[i - 1] += 1
+            j = tuple(j)
+            acc[j] = acc.get(j, 0) + falling * coeff
+        falling *= n - i
+    return tuple(acc.items())
 
 
 def cycle_index_recursive(n: int) -> CycleIndexPoly:
     """Cycle index of the natural action via the length-of-the-cycle-through-a-
-    marked-point recursion; identical term set to cycle_index_direct."""
+    marked-point recursion; identical term set to cycle_index_direct.
+
+    The recursion runs in integers (n! Z_n); each coefficient is divided
+    by n! once, at the end.
+    """
+    factorial = math.factorial(n)
     table = dict(_recursive_table(n))
     terms = []
     for j in enumerate_cycle_types(n):
-        key = tuple((i, c) for i, c in enumerate(j.j, start=1) if c > 0)
-        coeff = table.pop(key, None)
+        coeff = table.pop(j.j, None)
         if coeff is None:
             raise ArithmeticError(f"recursion lost the cycle type {j}")
-        terms.append((coeff, Monomial(j, key)))
+        exps = tuple((i, c) for i, c in enumerate(j.j, start=1) if c > 0)
+        terms.append((Fraction(coeff, factorial), Monomial(j, exps)))
     if table:
         raise ArithmeticError(f"recursion produced stray monomials: {sorted(table)}")
     return CycleIndexPoly(n, None, tuple(terms))

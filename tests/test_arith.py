@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -35,10 +36,45 @@ def test_cycle_type_validation():
     assert j.cycles_of_length(1) == 2
     assert j.cycles_of_length(2) == 1
     assert j.cycles_of_length(7) == 0
-    with pytest.raises(ValueError):
-        CycleType(4, (1, 1, 0, 0))
-    with pytest.raises(ValueError):
-        CycleType(3, (3, 0))
+    # Each refusal, pinned by its message, so a cheaper check must refuse
+    # exactly these inputs for exactly these reasons.
+    refused = [
+        ((-1, ()), "negative ground-set size -1"),
+        ((3, (3, 0)), "has length 2, expected 3"),
+        ((3, (1, 0, 0, 0)), "has length 4, expected 3"),
+        # The weighted sum -1 + 2*2 is still 3: only the sign refuses it.
+        ((3, (-1, 2, 0)), "negative cycle count in"),
+        ((4, (1, 1, 0, 0)), "do not partition 4"),
+        ((2, (0, 0)), "do not partition 2"),
+    ]
+    for args, message in refused:
+        with pytest.raises(ValueError, match=message):
+            CycleType(*args)
+    assert CycleType(0, ()).j == ()
+    assert CycleType(3, (0, 0, 1)).support() == (3,)
+
+
+def _partitions_by_definition(n):
+    # Every non-increasing tuple of parts summing to n, by filtering all
+    # non-increasing tuples of each length, then sorted lexicographically.
+    found = [
+        parts
+        for size in range(1, n + 1)
+        for parts in itertools.combinations_with_replacement(range(n, 0, -1), size)
+        if sum(parts) == n
+    ]
+    return sorted(found) if n else [()]
+
+
+def test_enumerate_cycle_types_order_is_ascending_lexicographic():
+    for n in range(0, 11):
+        expected = []
+        for parts in _partitions_by_definition(n):
+            j = [0] * n
+            for part in parts:
+                j[part - 1] += 1
+            expected.append(tuple(j))
+        assert [t.j for t in enumerate_cycle_types(n)] == expected, n
 
 
 def test_enumerate_cycle_types_order_n3():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import select
 import subprocess
 import sys
@@ -158,6 +159,30 @@ def test_cycle_index_stdout_digest(capsys):
     assert digest.hexdigest() == _CYCLE_INDEX_DIGEST
 
 
+def test_verify_burnside_suite():
+    r = run_cli("verify", "--suite", "burnside")
+    assert r.returncode == 0
+    assert r.stdout == "burnside: PASS\n  31 (n, k) pairs under the cap\n"
+
+
+def test_verify_structural_suite():
+    r = run_cli("verify", "--suite", "structural")
+    assert r.returncode == 0
+    assert r.stdout == "structural: PASS\n  268 (cycle type, k) pairs\n"
+
+
+def test_verify_times_each_suite_on_stderr():
+    # One line of elapsed seconds per suite, in run order, on stderr only;
+    # stdout holds the verdicts and notes alone.
+    r = run_cli("verify", "--suite", "variant", "--suite", "cross-method")
+    assert r.returncode == 0
+    assert r.stdout == (
+        "variant: PASS\n  first divergence at n=2 k=3: 130 != 136\n"
+        "cross-method: PASS\n  49 (n, k, variant) triples, n <= 6\n"
+    )
+    assert re.fullmatch(r"variant: \d+\.\d{3} s\ncross-method: \d+\.\d{3} s\n", r.stderr)
+
+
 def test_verify_variant_suite():
     r = run_cli("verify", "--suite", "variant")
     assert r.returncode == 0
@@ -274,7 +299,7 @@ def test_cli_import_starts_no_pool_machinery():
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        assert r.stderr == "0 []\n", (jobs, r.stderr)
+        assert re.fullmatch(r"burnside: \d+\.\d{3} s\n0 \[\]\n", r.stderr), (jobs, r.stderr)
         outputs.append(r.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("burnside: PASS\n")

@@ -119,18 +119,43 @@ def test_max_indeterminate_index():
 
 
 def test_monomial_validation():
+    # Each refusal, pinned by its message.
     j = next(iter(enumerate_cycle_types(2)))
-    with pytest.raises(ValueError):
-        Monomial(j, ((2, 1), (1, 1)))
-    with pytest.raises(ValueError):
-        Monomial(j, ((1, 0),))
+    refused = [
+        (((0, 1),), "indices must be >= 1"),
+        (((0, 1), (1, 2)), "indices must be >= 1"),
+        (((1, 1), (1, 2)), "not sorted and distinct"),
+        (((1, 1), (2, 1), (2, 1)), "not sorted and distinct"),
+        (((2, 1), (1, 1)), "not sorted and distinct"),
+        (((1, 0),), "exponents positive"),
+        (((1, 2), (3, -1)), "exponents positive"),
+    ]
+    for exponents, message in refused:
+        with pytest.raises(ValueError, match=message):
+            Monomial(j, exponents)
+    assert Monomial(j, ()).max_index == 0
+    assert Monomial(j, ((1, 1), (3, 2))).render() == "t1*t3^2"
 
 
 def test_poly_rejects_bad_weights():
     j = next(iter(enumerate_cycle_types(1)))
     mono = Monomial(j, ((1, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to 1/2, expected 1"):
         CycleIndexPoly(1, None, ((Fraction(1, 2), mono),))
+    j1, j2 = enumerate_cycle_types(2)
+    m1, m2 = Monomial(j1, ((1, 2),)), Monomial(j2, ((2, 1),))
+    refused = [
+        (((Fraction(1, 2), m1), (Fraction(1, 3), m2)), "sum to 5/6, expected 1"),
+        (((Fraction(1, 2), m1), (Fraction(1), m2)), "sum to 3/2, expected 1"),
+        (((Fraction(3, 2), m1), (Fraction(1, 2), m2)), "sum to 2, expected 1"),
+        ((), "sum to 0, expected 1"),
+        (((Fraction(3, 2), m1), (Fraction(-1, 2), m2)), "must be positive"),
+        (((Fraction(1), m1), (Fraction(0), m2)), "must be positive"),
+    ]
+    for terms, message in refused:
+        with pytest.raises(ValueError, match=message):
+            CycleIndexPoly(2, None, terms)
+    assert CycleIndexPoly(2, None, ((Fraction(1, 2), m1), (Fraction(1, 2), m2))).n == 2
 
 
 def test_induced_index_names_its_exponent_rule():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -21,6 +22,8 @@ from magma_census import (
 )
 from magma_census.arith import apply_tuple
 from magma_census.oracle import (
+    _rejecting_reach,
+    _relabel_groups,
     _relabel_maps,
     decode_cell,
     encode_cell,
@@ -136,6 +139,28 @@ def test_orbit_count_equals_canonical_form_census():
     for n, k in [(2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]:
         forms = {canonical_form(t).entries for t in all_tables(n, k)}
         assert len(forms) == count_orbits_bruteforce(n, k)
+
+
+def test_grouped_canonicity_test_matches_canonical_form():
+    # Table by table, in lexicographic order: the grouped test passes
+    # exactly the tables that are their own canonical form, and the block a
+    # rejection lets the walk skip (every table sharing entries[:reach + 1],
+    # an aligned run of n^(cells - reach - 1) tables) holds no canonical one.
+    # (4, 0) and (1, 2) take the one-cell grouping, which keeps no tie lists.
+    for n, k in [(2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 0), (1, 2)]:
+        groups = _relabel_groups(n, k)
+        tables = list(all_tables(n, k))
+        canonical = [canonical_form(t) == t for t in tables]
+        canonical_before = list(itertools.accumulate(canonical, initial=0))
+        cells = n**k
+        for index, t in enumerate(tables):
+            reach = _rejecting_reach(list(t.entries), groups)
+            assert (reach is None) == canonical[index], (n, k, t.entries)
+            if reach is not None:
+                block = n ** (cells - reach - 1)
+                start = index - index % block
+                skipped = canonical_before[start + block] - canonical_before[start]
+                assert skipped == 0, (n, k, t.entries, reach)
 
 
 def test_orbit_count_pinned():
