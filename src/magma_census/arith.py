@@ -3,11 +3,10 @@
 Everything is exact: counts are Python ints (arbitrary precision), no
 floating point anywhere. Ground-set elements are 0-based internally;
 1-based labels appear only in display strings. The one feasibility-guard
-exception and the oracle's default table cap live here too, so that the
-census, the oracle and the command line share them without importing one
-another; so do the two exponent conventions (variants) and the one literal
-per-tuple loop that tells them apart (induced_exponents), which the census
-and the cycle index share.
+exception lives here too, so that the census, the oracle and the command
+line share it without importing one another; so do the two exponent
+conventions (variants) and the one literal per-tuple loop that tells them
+apart (induced_exponents), which the census and the cycle index share.
 """
 
 from __future__ import annotations
@@ -17,10 +16,6 @@ import math
 import operator
 from collections import namedtuple
 from typing import Iterable, Iterator
-
-# Largest number of tables, n^(n^k), the brute-force oracle may enumerate.
-DEFAULT_CELL_CAP = 2**20
-
 
 class GuardError(Exception):
     """Raised when a request exceeds a configured feasibility guard."""

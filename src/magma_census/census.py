@@ -6,7 +6,7 @@ free choices per chain gives a closed form per cycle type, and averaging
 over all of S_n (grouped by cycle type, weighted by how many permutations
 share it) gives the number of isomorphism classes.
 
-The closed form never visits the |support(j)|^k ordered tuples of cycle
+The census walk never visits the |support(j)|^k ordered tuples of cycle
 lengths, and never builds the cycle types one by one. An i-cycle paired
 with a j-cycle gives gcd(i, j) cycles of length lcm(i, j), so the tuples
 are folded into maps F_0..F_k, F_m sending each tuple-cycle length L to the
@@ -35,8 +35,13 @@ come from tables built once per walk.
 The weighted sum fpc(j) * n!/z_j is kept in exact integers and divided by
 n! once at the end, after checking that the weights n!/z_j sum to n!
 exactly, which a single missed or repeated cycle type cannot pass. It runs
-serially in the calling process. fixed_point_count(j, k) takes the same
-steps along the one path that spells j.
+serially in the calling process. The walk is the only caller of its edge
+function, _join.
+
+fixed_point_count(j, k, variant) is the per-type count the other two
+routes read: the literal product over all |support(j)|^k ordered tuples
+(arith.induced_exponents), under either exponent rule. It shares no code
+with the walk.
 
 Three independent evaluation routes are kept deliberately separate: the
 partition-weighted sum, the literal average over all n! permutations, and
@@ -47,11 +52,8 @@ The harrison-gcd variant reproduces a historically published exponent that
 replaces the chain count r_1*...*r_k / lcm with gcd(r_1, ..., r_k). The two
 agree for arity at most 2 (gcd * lcm = r*s) and diverge from (n, k) = (2, 3)
 on; the variant is kept as a counting foil, not for use. The walk serves
-the correct count only. fixed_point_count(j, k, variant) is the one
-per-type count under either rule: given the gcd rule it runs the literal
-per-tuple loop the induced cycle index uses (arith.induced_exponents),
-which is much slower at large n, and every route computes the variant
-through that loop.
+the correct count only; every route computes the variant through the
+literal per-tuple loop, which is much slower at large n.
 """
 
 from __future__ import annotations
@@ -163,11 +165,6 @@ def _walk_tables(n: int, k: int) -> _Walk:
     return _Walk(k, lcm, comb, _Keys(n))
 
 
-def _empty_fold(k: int) -> list[dict]:
-    # F_2..F_k before any part joins: no m-tuple with m >= 2 exists yet.
-    return [{} for _ in range(2, k + 1)]
-
-
 def _join(
     fold: list[dict], bases: dict, parts: tuple, rest: int, walk: _Walk
 ) -> tuple[list[dict], dict, int]:
@@ -248,53 +245,30 @@ def _join(
     return out, live_bases, product
 
 
-def _empty_set_fixed_points(k: int) -> int:
-    # All 0^(0^k) tables on the empty set: the empty table for k >= 1, and
-    # no constant at all for k = 0.
-    return 1 if k else 0
-
-
 def fixed_point_count(j: CycleType, k: int, variant: str = VARIANT_CORRECT) -> int:
     """Number of k-ary tables fixed by any permutation of cycle type j.
 
     Product over ordered k-tuples (r_1, ..., r_k) of cycle lengths in the
     support of j: each tuple contributes the weighted divisor sum of
     L = lcm(r_1, ..., r_k) raised to m * j_{r_1}*...*j_{r_k}, where the
-    variant names the multiplier m. The correct count takes the chains
-    each choice of cycles threads, m = r_1*...*r_k / L, and is computed by
-    folding the parts (r, j_r) of j in one at a time, the same steps
-    count_k_magmas takes down its walk: F_m maps each L to the summed
-    weight prod r_i * j_{r_i} of the m-tuples with lcm L, so the exponent
-    of L is F_k[L] / L and each distinct L pays one power. The empty
-    ground set gives 1 for k >= 1 (empty product) and 0 for k = 0, where
-    the lone factor is j_1^1 = 0^1.
+    variant names the multiplier m. The correct rule takes the chains each
+    choice of cycles threads, m = r_1*...*r_k / L; the harrison-gcd rule
+    takes m = gcd(r_1, ..., r_k), the same count for k <= 2, since
+    gcd(r, s) * lcm(r, s) = r * s, and an undercount from arity 3 on.
 
-    Any other variant runs the literal per-tuple loop that induces the
-    cycle index (arith.induced_exponents) over all |support(j)|^k tuples,
-    which refuses an unknown variant. The harrison-gcd variant takes
-    m = gcd(r_1, ..., r_k): the same count for k <= 2, since
-    gcd(r, s) * lcm(r, s) = r * s, and an undercount from arity 3 on;
-    arity 0 is refused, as there is no gcd of nothing.
+    One expression for both rules, over arith.induced_exponents, which
+    refuses a negative arity, an unknown variant and the gcd rule at arity
+    0. The empty ground set gives 1 for k >= 1 (an empty product) and 0
+    for k = 0, where the lone factor is j_1^1 = 0^1. Every one of the
+    |support(j)|^k tuples is visited. Under the correct rule the CLI calls
+    it only from the structural suite and the permutation route, both at
+    n <= 8, where a cycle type has at most 3 distinct cycle lengths; the
+    census walk computes the correct count without it.
     """
-    if variant != VARIANT_CORRECT:
-        return math.prod(
-            weighted_divisor_sum(j, length) ** e
-            for length, e in induced_exponents(j, k, variant).items()
-        )
-    if k < 0:
-        raise ValueError(f"negative arity {k}")
-    if j.n == 0:
-        return _empty_set_fixed_points(k)
-    # The walk's edges along the one path that spells j.
-    walk = _walk_tables(j.n, k)
-    fold, bases, done, parts, rest = _empty_fold(k), {}, 1, (), j.n
-    for r, c in enumerate(j.j, start=1):
-        if c:
-            rest -= r * c
-            parts += ((r, r * c),)
-            fold, bases, settled = _join(fold, bases, parts, rest, walk)
-            done *= settled
-    return done
+    return math.prod(
+        weighted_divisor_sum(j, length) ** e
+        for length, e in induced_exponents(j, k, variant).items()
+    )
 
 
 def _cycle_type_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
@@ -308,10 +282,12 @@ def _cycle_type_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
     # settled on its path; the walk's tables are built once, here.
     factorial = math.factorial(n)
     if n == 0:
-        yield _empty_set_fixed_points(k), 1
+        # The empty table for k >= 1; no constant at all for k = 0.
+        yield 1 if k else 0, 1
         return
     walk = _walk_tables(n, k)
-    stack = [(n, 1, 1, (), _empty_fold(k), {}, 1)]
+    # F_2..F_k start empty: no m-tuple with m >= 2 exists before a part.
+    stack = [(n, 1, 1, (), [{} for _ in range(2, k + 1)], {}, 1)]
     while stack:
         remaining, low, denom, parts, fold, bases, done = stack.pop()
         # Past remaining // 2 only the single part r = remaining completes.
@@ -343,13 +319,14 @@ def _exact_average(total: int, n: int, k: int) -> int:
 def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
     """Number of isomorphism classes of k-ary operations on n elements.
 
-    Sums fixed_point_count(j, k) * n!/z_j over the cycle types j of n,
-    z_j = prod_i i^{j_i} j_i!, in exact integers, and divides the total by
-    n! with one divmod; a remainder raises. The cycle types are never
-    built one by one: a single depth-first walk over the partitions of n
-    carries z_j, the part-by-part fold and the product of the settled
-    tuple-cycle lengths down the tree, so neighbouring types share every
-    part they have in common. The gcd variant instead sums
+    Sums fpc(j) * n!/z_j over the cycle types j of n, fpc(j) the number
+    of tables type j fixes and z_j = prod_i i^{j_i} j_i!, in exact
+    integers, and divides the total by n! with one divmod; a remainder
+    raises. The cycle types are never built one by one: a single
+    depth-first walk over the partitions of n carries z_j, the
+    part-by-part fold and the product of the settled tuple-cycle lengths
+    down the tree, so neighbouring types share every part they have in
+    common. The gcd variant instead sums
     fixed_point_count(j, k, variant) over enumerate_cycle_types(n), one
     cycle type at a time. Either way the weights n!/z_j must sum to n!
     exactly, which also catches a single type visited twice or missed;

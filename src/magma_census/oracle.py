@@ -41,7 +41,10 @@ import operator
 from collections import namedtuple
 from typing import Iterator, Sequence
 
-from .arith import DEFAULT_CELL_CAP, GuardError, Perm, all_perms, apply_tuple
+from .arith import GuardError, Perm, all_perms, apply_tuple
+
+# Largest number of tables, n^(n^k), the oracle may enumerate.
+DEFAULT_CELL_CAP = 2**20
 
 
 class OpTable(namedtuple("OpTable", "n k entries")):
@@ -119,23 +122,37 @@ def act(p: Perm, t: OpTable) -> OpTable:
     return OpTable(t.n, t.k, tuple(p.images[t.entries[c]] for c in ic))
 
 
-def all_tables(n: int, k: int, cap: int = DEFAULT_CELL_CAP) -> Iterator[OpTable]:
+def all_tables(n: int, k: int) -> Iterator[OpTable]:
     """Every k-ary operation table on n elements, in lexicographic entry order."""
-    _check_table_cap(n, k, cap)
+    _check_table_cap(n, k)
     for entries in itertools.product(range(n), repeat=n**k):
         yield OpTable(n, k, entries)
 
 
-def _check_table_cap(n: int, k: int, cap: int) -> None:
-    # Refuses a bad shape, n > 8, or more than cap tables; returns nothing.
+def within_table_cap(n: int, k: int) -> bool:
+    """Whether the n^(n^k) tables of shape (n, k) fit under DEFAULT_CELL_CAP.
+
+    For n >= 2 the count is at least 2^(n^k), so it exceeds every cap below
+    2^B, B = cap.bit_length(), once n^k > B. That is decided on n^min(k, B)
+    first, and n^(n^k) is built only when n^k <= B, never past n^B.
+    """
+    cap = DEFAULT_CELL_CAP
+    bits = cap.bit_length()
+    if n >= 2 and n ** min(k, bits) > bits:
+        return False
+    return n ** (n**k) <= cap
+
+
+def _check_table_cap(n: int, k: int) -> None:
+    # Refuses a bad shape, n > 8, or more tables than the cap; the message
+    # names the count as a power, which may be far too large to print.
     if n < 0 or k < 0:
         raise ValueError(f"bad shape n={n} k={k}")
     if n > 8:
         raise GuardError(f"n={n} exceeds the brute-force limit of 8")
-    total = n**(n**k)
-    if total > cap:
+    if not within_table_cap(n, k):
         raise GuardError(
-            f"n={n} k={k} has {total} tables, above the cap of {cap}"
+            f"n={n} k={k} has {n}^({n}^{k}) tables, above the cap of {DEFAULT_CELL_CAP}"
         )
 
 
@@ -241,7 +258,7 @@ def _count_canonical(n: int, k: int) -> int:
         entries[reach] += 1
 
 
-def count_orbits_bruteforce(n: int, k: int, cap: int = DEFAULT_CELL_CAP) -> int:
+def count_orbits_bruteforce(n: int, k: int) -> int:
     """Number of isomorphism classes, by counting lex-least orbit representatives.
 
     Walks the tables in lexicographic order and tests each against every
@@ -253,7 +270,7 @@ def count_orbits_bruteforce(n: int, k: int, cap: int = DEFAULT_CELL_CAP) -> int:
     ones the test would reject, so the count equals the number of lex-least
     representatives over all n^(n^k) tables.
     """
-    _check_table_cap(n, k, cap)
+    _check_table_cap(n, k)
     return _count_canonical(n, k)
 
 
@@ -311,9 +328,9 @@ def fixed_tables_structural(p: Perm, n: int, k: int) -> int:
     return total
 
 
-def fixed_tables_enumerated(p: Perm, k: int, cap: int = DEFAULT_CELL_CAP) -> int:
+def fixed_tables_enumerated(p: Perm, k: int) -> int:
     """Number of tables fixed by p, by testing every table against act."""
-    return sum(1 for t in all_tables(p.n, k, cap) if act(p, t) == t)
+    return sum(1 for t in all_tables(p.n, k) if act(p, t) == t)
 
 
 def orbit_and_stabilizer_sizes(t: OpTable) -> tuple[int, int]:

@@ -49,7 +49,7 @@ def test_criterion_1_oracle_equivalence():
     )
     assert required <= set(pairs)
     for n, k in pairs:
-        brute = count_orbits_bruteforce(n, k, CAP)
+        brute = count_orbits_bruteforce(n, k)
         formula = count_k_magmas(n, k).count
         assert brute == formula, f"(n={n}, k={k}): {brute} != {formula}"
     elapsed = time.perf_counter() - start

@@ -55,21 +55,37 @@ def test_fixed_point_count_empty_set():
         assert fixed_point_count(empty, k, VARIANT_HARRISON) == 1
 
 
-def _substituted(mono):
-    j = mono.origin
-    return math.prod(weighted_divisor_sum(j, i) ** e for i, e in mono.exponents)
+def test_every_walk_leaf_matches_its_cycle_type(monkeypatch):
+    # Each term the census walk yields, against the cycle type its leaf
+    # spells: the fixed points against fixed_point_count, the literal
+    # product over all tuples of cycle lengths, and the weight n!/z_j
+    # against cycle_type_count. A leaf's parts are those its own edge, the
+    # _join with rest = 0, received; n = 0 has a leaf and no edge. Every
+    # cycle type of n is reached exactly once.
+    join = census._join
+    leaf = []
 
+    def recorded(fold, bases, parts, rest, walk):
+        if rest == 0:
+            leaf[:] = [parts]
+        return join(fold, bases, parts, rest, walk)
 
-def test_fixed_point_count_matches_induced_monomial():
-    # The folded kernel against the literal per-tuple loop in induce, with
-    # the divisor sum taken over divisors rather than over the support.
-    for n in range(0, 10):
-        z = cycle_index_direct(n)
-        for k in range(0, 5):
-            for _, mono in induce(z, k).terms:
-                assert fixed_point_count(mono.origin, k) == _substituted(mono), (
-                    f"n={n} k={k} j={mono.origin.j}"
-                )
+    monkeypatch.setattr(census, "_join", recorded)
+    shapes = [(n, k) for n in range(0, 11) for k in range(0, 5)]
+    for n, k in shapes + [(20, 2), (12, 3)]:
+        leaf[:] = [()]
+        reached = []
+        for fpc, weight in census._cycle_type_terms(n, k):
+            (parts,) = leaf
+            leaf.clear()
+            counts = [0] * n
+            for r, s in parts:
+                counts[r - 1] = s // r
+            j = CycleType(n, tuple(counts))
+            assert fpc == fixed_point_count(j, k), f"n={n} k={k} j={j.j}"
+            assert weight == arith.cycle_type_count(j), f"n={n} k={k} j={j.j}"
+            reached.append(j)
+        assert sorted(reached) == sorted(enumerate_cycle_types(n)), (n, k)
 
 
 def test_fixed_point_count_harrison_matches_induced_monomial():
@@ -253,10 +269,8 @@ def test_join_keeps_exactly_the_keys_a_later_part_can_touch(monkeypatch):
         return out, live_bases, product
 
     monkeypatch.setattr(census, "_join", checked)
-    for n, k in ((20, 2), (14, 3), (9, 4), (8, 0), (12, 1)):
+    for n, k in ((20, 2), (14, 3), (8, 3), (9, 4), (8, 0), (12, 1)):
         assert count_k_magmas(n, k).count == count_via_cycle_index(n, k).count
-    for _, mono in induce(cycle_index_direct(8), 3).terms:
-        assert fixed_point_count(mono.origin, 3) == _substituted(mono)
     # Inner edges both keep keys live and settle them early.
     assert all(map(sum, zip(*edges)))
 

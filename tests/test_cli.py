@@ -1,12 +1,14 @@
 """End-to-end runs of the installed command line, checked byte for byte."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
 import select
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +116,37 @@ def test_sequence_vary_k_bfile_indexes_by_k():
     assert r.stdout == "1 3\n2 10\n3 136\n"
 
 
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_sequence_bfile_matches_reference_digests(capsys, monkeypatch):
+    # The benchmark's `sequence` runs: k = 2 over its whole n-span and each
+    # `--vary k` range, every bfile line against its SHA-256 in
+    # perfbench/reference.json (read, never written). In-process, as one
+    # interpreter start-up per run would dominate. The workloads module is
+    # registered in sys.modules for this test only; its dataclasses look
+    # their module up there.
+    spec = importlib.util.spec_from_file_location("workloads", _PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((_PERFBENCH / "reference.json").read_text())["sequence"]
+    k = workloads.SEQUENCE_K
+    runs = [(["--k", str(k)], workloads.SEQUENCE_SPAN, lambda i: f"n:{i},{k}")]
+    runs += [(["--vary", "k", "--n", str(n)], span, lambda i, n=n: f"k:{n},{i}")
+             for n, span in sorted(workloads.VARY_K_RANGES.items())]
+    checked = 0
+    for flags, (lo, hi), key in runs:
+        argv = ["sequence", *flags, "--from", str(lo), "--to", str(hi), "--format", "bfile"]
+        assert cli.entry_point(argv) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert len(lines) == hi - lo + 1, argv
+        for i, line in zip(range(lo, hi + 1), lines):
+            assert hashlib.sha256(line.encode()).hexdigest() == reference[key(i)], key(i)
+            checked += 1
+    assert checked == len(reference) == 56
+
+
 def test_cycle_index_natural():
     r = run_cli("cycle-index", "--n", "3")
     assert r.returncode == 0
@@ -181,6 +214,18 @@ def test_verify_times_each_suite_on_stderr():
         "cross-method: PASS\n  49 (n, k, variant) triples, n <= 6\n"
     )
     assert re.fullmatch(r"variant: \d+\.\d{3} s\ncross-method: \d+\.\d{3} s\n", r.stderr)
+
+
+def test_verify_runs_a_repeated_suite_once():
+    # In the order first named; the repeats add no verdict and no timing.
+    r = run_cli("verify", "--suite", "variant", "--suite", "structural",
+                "--suite", "variant", "--suite", "structural")
+    assert r.returncode == 0
+    assert r.stdout == (
+        "variant: PASS\n  first divergence at n=2 k=3: 130 != 136\n"
+        "structural: PASS\n  268 (cycle type, k) pairs\n"
+    )
+    assert re.fullmatch(r"variant: \d+\.\d{3} s\nstructural: \d+\.\d{3} s\n", r.stderr)
 
 
 def test_verify_variant_suite():

@@ -20,6 +20,7 @@ from magma_census import (
     realize_cycle_type,
     enumerate_cycle_types,
 )
+from magma_census import oracle
 from magma_census.arith import apply_tuple
 from magma_census.oracle import (
     _rejecting_reach,
@@ -204,14 +205,40 @@ def test_relabel_maps_match_the_definition():
                 assert reach[c] == running
 
 
-def test_orbit_count_cap():
+def test_orbit_count_cap(monkeypatch):
     with pytest.raises(GuardError):
         count_orbits_bruteforce(4, 2)
     with pytest.raises(GuardError):
         count_orbits_bruteforce(9, 1)
-    assert count_orbits_bruteforce(2, 2, cap=16) == 10
+    monkeypatch.setattr(oracle, "DEFAULT_CELL_CAP", 16)
+    assert count_orbits_bruteforce(2, 2) == 10
+    monkeypatch.setattr(oracle, "DEFAULT_CELL_CAP", 15)
     with pytest.raises(GuardError):
-        count_orbits_bruteforce(2, 2, cap=15)
+        count_orbits_bruteforce(2, 2)
+
+
+def test_cap_refuses_without_building_the_table_count():
+    # 2^(2^14) and 4^(4^8) have more than 4300 digits; the refusal must be
+    # a GuardError, not the ValueError str() raises on such an int.
+    for n, k in ((2, 14), (4, 8)):
+        for refused in (
+            lambda: count_orbits_bruteforce(n, k),
+            lambda: list(all_tables(n, k)),
+            lambda: fixed_tables_enumerated(Perm.identity(n), k),
+        ):
+            with pytest.raises(GuardError, match=rf"{n}\^\({n}\^{k}\) tables, above"):
+                refused()
+
+
+def test_within_table_cap_matches_its_definition(monkeypatch):
+    # The exponent shortcut decides exactly n^(n^k) <= cap, at the cap's
+    # own boundaries as well as the default.
+    for cap in (0, 1, 2, 3, 4, 15, 16, 255, 256, 2**20, 2**20 - 1):
+        monkeypatch.setattr(oracle, "DEFAULT_CELL_CAP", cap)
+        for n in range(0, 9):
+            for k in range(0, 6):
+                expected = n ** (n**k) <= cap
+                assert oracle.within_table_cap(n, k) == expected, (cap, n, k)
 
 
 def test_fixed_tables_structural_examples():
