@@ -14,7 +14,6 @@ _EXPORTS = {
         "all_perms",
         "cycle_type_count",
         "cycle_type_of",
-        "divisors",
         "enumerate_cycle_types",
         "realize_cycle_type",
     ),
@@ -41,15 +40,9 @@ _EXPORTS = {
         "substitute_per_monomial",
     ),
     "oracle": (
-        "OpTable",
-        "act",
-        "all_tables",
-        "canonical_form",
         "cell_permutation",
         "count_orbits_bruteforce",
         "fixed_tables_structural",
-        "is_automorphism",
-        "orbit_stabilizer_check",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,12 +1,12 @@
 """Exact integer helpers, cycle types, and permutations of {0, ..., n-1}.
 
 Everything is exact: counts are Python ints (arbitrary precision), no
-floating point anywhere. Ground-set elements are 0-based internally;
-1-based labels appear only in display strings. The one feasibility-guard
-exception lives here too, so that the census, the oracle and the command
-line share it without importing one another; so do the two exponent
-conventions (variants) and the one literal per-tuple loop that tells them
-apart (induced_exponents), which the census and the cycle index share.
+floating point anywhere. Ground-set elements are 0-based. The one
+feasibility-guard exception lives here too, so that the census, the oracle
+and the command line share it without importing one another; so do the
+two exponent conventions (variants) and the one literal per-tuple loop
+that tells them apart (induced_exponents), which the census and the cycle
+index share.
 """
 
 from __future__ import annotations
@@ -25,21 +25,6 @@ class GuardError(Exception):
 VARIANT_CORRECT = "correct"
 VARIANT_HARRISON = "harrison-gcd"
 VARIANTS = (VARIANT_CORRECT, VARIANT_HARRISON)
-
-
-def divisors(m: int) -> list[int]:
-    """Sorted positive divisors of m >= 1, by trial division."""
-    if m <= 0:
-        raise ValueError(f"divisors requires a positive argument, got {m}")
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d * d != m:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
 
 
 class CycleType(namedtuple("CycleType", "n j")):
@@ -239,16 +224,6 @@ class Perm(namedtuple("Perm", "images")):
             out.append(tuple(cyc))
         return out
 
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
-
-    def __str__(self):
-        # 1-based cycle notation for display, e.g. "(1 3 4)(2 5)".
-        nontrivial = [c for c in self.cycles() if len(c) > 1]
-        if not nontrivial:
-            return "()"
-        return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in nontrivial)
-
 
 def all_perms(n: int) -> Iterator[Perm]:
     """All permutations of {0..n-1} in lexicographic image order."""
@@ -262,14 +237,6 @@ def cycle_type_of(p: Perm) -> CycleType:
     for cyc in p.cycles():
         j[len(cyc) - 1] += 1
     return CycleType(p.n, tuple(j))
-
-
-def apply_tuple(p: Perm, coords: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply p to every coordinate of a tuple over {0..n-1}."""
-    for c in coords:
-        if not 0 <= c < p.n:
-            raise ValueError(f"coordinate {c} outside 0..{p.n - 1}")
-    return tuple(p.images[c] for c in coords)
 
 
 def realize_cycle_type(j: CycleType, rng=None) -> Perm:

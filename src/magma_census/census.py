@@ -71,45 +71,30 @@ from .arith import (
     all_perms,
     cycle_type_count,
     cycle_type_of,
-    divisors,
     enumerate_cycle_types,
     induced_exponents,
 )
 
-METHOD_PARTITION = "partition"
-METHOD_PERMUTATION = "permutation"
-METHOD_CYCLE_INDEX = "cycle-index"
-METHODS = (METHOD_PARTITION, METHOD_PERMUTATION, METHOD_CYCLE_INDEX)
-
 DEFAULT_PERM_GUARD = 8
 
 
-class CensusQuery(namedtuple("CensusQuery", "n k variant method")):
+class CensusQuery(namedtuple("CensusQuery", "n k variant")):
     __slots__ = ()
 
-    def __new__(
-        cls, n: int, k: int, variant: str = VARIANT_CORRECT, method: str = METHOD_PARTITION
-    ):
+    def __new__(cls, n: int, k: int, variant: str = VARIANT_CORRECT):
         if n < 0 or k < 0:
             raise ValueError(f"n and k must be >= 0, got n={n} k={k}")
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
-        return super().__new__(cls, n, k, variant, method)
+        return super().__new__(cls, n, k, variant)
 
 
-class CensusResult(namedtuple("CensusResult", "query count terms_evaluated")):
-    """A computed count plus how it was obtained.
-
-    terms_evaluated is the number of summands the route added up: cycle
-    types for the partition and cycle-index routes, n! for the permutation
-    route.
-    """
+class CensusResult(namedtuple("CensusResult", "query count")):
+    """A computed count and the query it answers."""
 
     __slots__ = ()
 
-    def __new__(cls, query: CensusQuery, count: int, terms_evaluated: int):
+    def __new__(cls, query: CensusQuery, count: int):
         if count < 0:
             raise ValueError(f"negative count {count}")
         if count == 0 and (query.n, query.k) != (0, 0):
@@ -117,17 +102,16 @@ class CensusResult(namedtuple("CensusResult", "query count terms_evaluated")):
                 f"count 0 is only possible at (n, k) = (0, 0), "
                 f"got ({query.n}, {query.k})"
             )
-        return super().__new__(cls, query, count, terms_evaluated)
+        return super().__new__(cls, query, count)
 
 
 def weighted_divisor_sum(j: CycleType, m: int) -> int:
-    """Sum of d * j_d over the divisors d of m.
+    """Sum of r * j_r over the cycle lengths r of j that divide m.
 
-    Divisors exceeding n contribute 0 because j has no cycles there; the
-    lcm of several cycle lengths routinely exceeds n, so this must not
-    index past the cycle type.
+    Only the lengths 1..n that j holds are tried: the lcm of several cycle
+    lengths routinely exceeds n, and its divisors past n carry no cycles.
     """
-    return sum(d * j.cycles_of_length(d) for d in divisors(m))
+    return sum(r * c for r, c in enumerate(j.j, start=1) if c and m % r == 0)
 
 
 class _Keys(dict):
@@ -333,7 +317,7 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     anything else raises. Serial and in a fixed order, so the result is
     the same bit for bit on every run.
     """
-    query = CensusQuery(n, k, variant, METHOD_PARTITION)
+    query = CensusQuery(n, k, variant)
     if variant == VARIANT_CORRECT:
         terms = _cycle_type_terms(n, k)
     else:
@@ -341,18 +325,16 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
             (fixed_point_count(j, k, variant), cycle_type_count(j))
             for j in enumerate_cycle_types(n)
         )
-    total = weights = evaluated = 0
+    total = weights = 0
     for fpc, weight in terms:
         total += fpc * weight
         weights += weight
-        evaluated += 1
     factorial = math.factorial(n)
     if weights != factorial:
         raise ArithmeticError(
             f"cycle-type weights sum to {weights}, not {n}! = {factorial}"
         )
-    count = _exact_average(total, n, k)
-    return CensusResult(query, count, evaluated)
+    return CensusResult(query, _exact_average(total, n, k))
 
 
 def count_via_permutation_sum(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
@@ -360,22 +342,20 @@ def count_via_permutation_sum(n: int, k: int, variant: str = VARIANT_CORRECT) ->
 
     Exists to be compared against count_k_magmas, so it shares no grouping
     logic with it: every permutation is visited, its cycle type read off,
-    and the per-type count cached only as a speedup.
+    and the per-type count cached only as a speedup. The arguments are
+    checked before the guard, so a bad one raises ValueError at any n.
     """
+    query = CensusQuery(n, k, variant)
     if n > DEFAULT_PERM_GUARD:
         raise GuardError(f"n={n} exceeds the permutation-sum guard of {DEFAULT_PERM_GUARD}")
-    query = CensusQuery(n, k, variant, METHOD_PERMUTATION)
     cache: dict[tuple[int, ...], int] = {}
     total = 0
-    terms = 0
     for p in all_perms(n):
         j = cycle_type_of(p)
         if j.j not in cache:
             cache[j.j] = fixed_point_count(j, k, variant)
         total += cache[j.j]
-        terms += 1
-    count = _exact_average(total, n, k)
-    return CensusResult(query, count, terms)
+    return CensusResult(query, _exact_average(total, n, k))
 
 
 def count_via_cycle_index(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
@@ -391,30 +371,23 @@ def count_via_cycle_index(n: int, k: int, variant: str = VARIANT_CORRECT) -> Cen
     """
     from .cycle_index import cycle_index_direct, induce, substitute_per_monomial
 
-    query = CensusQuery(n, k, variant, METHOD_CYCLE_INDEX)
+    query = CensusQuery(n, k, variant)
     zk = induce(cycle_index_direct(n), k, variant)
-    count = substitute_per_monomial(zk, weighted_divisor_sum)
-    return CensusResult(query, count, len(zk.terms))
+    return CensusResult(query, substitute_per_monomial(zk, weighted_divisor_sum))
 
 
 def sequence(
-    k: int, n_lo: int, n_hi: int, variant: str = VARIANT_CORRECT
+    fixed: int, lo: int, hi: int, variant: str = VARIANT_CORRECT, vary: str = "n"
 ) -> Iterator[CensusResult]:
-    """count_k_magmas for every n in [n_lo, n_hi], in order.
+    """count_k_magmas for every value in [lo, hi] of the coordinate vary
+    names, "n" or "k", in order, the other coordinate held at fixed.
 
     The range is checked at the call; each count is computed only as the
     returned iterator reaches it, so a caller can emit it at once.
     """
-    if not (0 <= n_lo <= n_hi):
-        raise ValueError(f"bad range [{n_lo}, {n_hi}]")
-    return (count_k_magmas(n, k, variant) for n in range(n_lo, n_hi + 1))
-
-
-def sequence_in_k(
-    n: int, k_lo: int, k_hi: int, variant: str = VARIANT_CORRECT
-) -> Iterator[CensusResult]:
-    """count_k_magmas for every k in [k_lo, k_hi], fixed n, computed lazily
-    like sequence."""
-    if not (0 <= k_lo <= k_hi):
-        raise ValueError(f"bad range [{k_lo}, {k_hi}]")
-    return (count_k_magmas(n, k, variant) for k in range(k_lo, k_hi + 1))
+    if vary not in ("n", "k"):
+        raise ValueError(f"vary must be 'n' or 'k', got {vary!r}")
+    if not (0 <= lo <= hi):
+        raise ValueError(f"bad range [{lo}, {hi}]")
+    shapes = ((v, fixed) if vary == "n" else (fixed, v) for v in range(lo, hi + 1))
+    return (count_k_magmas(n, k, variant) for n, k in shapes)

@@ -40,6 +40,9 @@ FORMAT_PLAIN = "plain"
 FORMAT_JSON = "json"
 FORMAT_BFILE = "bfile"
 
+METHOD_PARTITION = "partition"
+METHOD_PERMUTATION = "permutation"
+
 VERIFY_SUITES = ("burnside", "structural", "cross-method", "variant", "cycle-index")
 
 
@@ -137,7 +140,7 @@ def _refuse_nullary_gcd(args, arity: int) -> None:
 
 def cmd_count(args) -> int:
     _refuse_nullary_gcd(args, args.k)
-    if args.method == census.METHOD_PERMUTATION:
+    if args.method == METHOD_PERMUTATION:
         result = census.count_via_permutation_sum(args.n, args.k, args.variant)
     else:
         result = census.count_k_magmas(args.n, args.k, args.variant)
@@ -163,10 +166,8 @@ def cmd_sequence(args) -> int:
         args.usage_error(f"bad range [{args.lo}, {args.hi}]")
     _refuse_nullary_gcd(args, args.lo if args.vary == "k" else args.k)
     # Plain and bfile lines go out as each count is done; JSON is one list.
-    if args.vary == "k":
-        results = census.sequence_in_k(args.n, args.lo, args.hi, args.variant)
-    else:
-        results = census.sequence(args.k, args.lo, args.hi, args.variant)
+    results = census.sequence(getattr(args, fixed), args.lo, args.hi,
+                              args.variant, args.vary)
     if args.format == FORMAT_JSON:
         import json
 
@@ -364,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--k", type=natural, required=True)
     p_count.add_argument("--variant", choices=census.VARIANTS,
                          default=census.VARIANT_CORRECT)
-    p_count.add_argument("--method", default=census.METHOD_PARTITION,
-                         choices=(census.METHOD_PARTITION, census.METHOD_PERMUTATION))
+    p_count.add_argument("--method", default=METHOD_PARTITION,
+                         choices=(METHOD_PARTITION, METHOD_PERMUTATION))
     add_format(p_count, FORMAT_PLAIN, FORMAT_JSON)
     add_jobs(p_count)
 

@@ -94,10 +94,6 @@ class CycleIndexPoly(namedtuple("CycleIndexPoly", "n power terms variant")):
             raise ValueError(f"cycle-index coefficients sum to {total}, expected 1")
         return super().__new__(cls, n, power, terms, variant)
 
-    @property
-    def is_natural(self) -> bool:
-        return self.power is None
-
     def render(self) -> str:
         """Canonical text form, e.g. "1/6*t1^3 + 1/2*t1*t2 + 1/3*t3".
 
@@ -193,7 +189,7 @@ def induce(z: CycleIndexPoly, k: int, variant: str = VARIANT_CORRECT) -> CycleIn
     merge by adding exponents; distinct origins never merge. k = 0 yields
     t1 for every origin (one tuple-cycle: the empty tuple is fixed).
     """
-    if not z.is_natural:
+    if z.power is not None:
         raise ValueError("induce expects the cycle index of the natural action")
     terms = []
     for coeff, mono in z.terms:

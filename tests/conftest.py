@@ -8,8 +8,10 @@ import random
 
 import pytest
 
-from magma_census import OpTable, Perm
+from magma_census import Perm
 from magma_census.oracle import cell_permutation
+
+from witnesses import OpTable
 
 
 def partition_count(n: int) -> int:

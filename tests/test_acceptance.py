@@ -14,7 +14,6 @@ from magma_census import (
     VARIANT_CORRECT,
     VARIANT_HARRISON,
     Perm,
-    act,
     count_k_magmas,
     count_orbits_bruteforce,
     count_via_cycle_index,
@@ -25,14 +24,13 @@ from magma_census import (
     fixed_point_count,
     fixed_tables_structural,
     induce,
-    is_automorphism,
     max_indeterminate_index,
-    orbit_stabilizer_check,
     realize_cycle_type,
     sequence,
 )
 
 from conftest import random_fixed_table, random_perm, random_table
+from witnesses import act, is_automorphism, orbit_stabilizer_check
 
 CAP = 2**20
 

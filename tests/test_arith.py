@@ -10,24 +10,12 @@ from magma_census import (
     all_perms,
     cycle_type_count,
     cycle_type_of,
-    divisors,
     enumerate_cycle_types,
     realize_cycle_type,
 )
-from magma_census.arith import apply_tuple
 
 from conftest import partition_count, random_perm
-
-
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(13) == [1, 13]
-    for m in range(1, 60):
-        ds = divisors(m)
-        assert ds == sorted(ds)
-        assert all(m % d == 0 for d in ds)
-        assert len(ds) == sum(1 for d in range(1, m + 1) if m % d == 0)
+from witnesses import OpTable, apply_tuple
 
 
 def test_cycle_type_validation():
@@ -111,7 +99,6 @@ def test_perm_basics():
     assert p * p.inverse() == Perm.identity(3)
     assert p**3 == Perm.identity(3)
     assert p**-1 == p.inverse()
-    assert p.order() == 3
     with pytest.raises(ValueError):
         Perm((0, 0, 1))
 
@@ -120,8 +107,6 @@ def test_perm_from_cycles_and_str():
     p = Perm.from_cycles(5, [(0, 2, 3), (1, 4)])
     assert p.images == (2, 4, 3, 0, 1)
     assert cycle_type_of(p).j == (0, 1, 1, 0, 0)
-    assert str(Perm.identity(3)) == "()"
-    assert str(Perm.from_cycles(3, [(0, 1)])) == "(1 2)"
 
 
 def test_perm_composition_law(rng):
@@ -138,7 +123,6 @@ def test_perm_cycles_roundtrip(rng):
         n = rng.randrange(1, 8)
         p = random_perm(rng, n)
         assert Perm.from_cycles(n, p.cycles()) == p
-        assert p.order() == math.lcm(*(len(c) for c in p.cycles()))
 
 
 def test_all_perms_is_lexicographic():
@@ -173,7 +157,7 @@ def test_realize_cycle_type_seed_reproducible():
 def _value_class_samples():
     from fractions import Fraction
 
-    from magma_census import CensusQuery, CensusResult, CycleIndexPoly, Monomial, OpTable
+    from magma_census import CensusQuery, CensusResult, CycleIndexPoly, Monomial
 
     j = CycleType(2, (0, 1))
     mono = Monomial(j, ((2, 1),))
@@ -182,11 +166,11 @@ def _value_class_samples():
     return [
         (j, CycleType(2, (0, 1)), "CycleType(n=2, j=(0, 1))", (2, (1, 1))),
         (Perm((1, 0)), Perm((1, 0)), "Perm(images=(1, 0))", ((1, 1),)),
-        (query, CensusQuery(2, 2, "correct", "partition"),
-         "CensusQuery(n=2, k=2, variant='correct', method='partition')", (2, 2, "fast")),
-        (CensusResult(query, 10, 2), CensusResult(query, 10, 2),
-         f"CensusResult(query={query!r}, count=10, terms_evaluated=2)",
-         (query, 0, 2)),
+        (query, CensusQuery(2, 2, "correct"),
+         "CensusQuery(n=2, k=2, variant='correct')", (2, 2, "fast")),
+        (CensusResult(query, 10), CensusResult(query, 10),
+         f"CensusResult(query={query!r}, count=10)",
+         (query, 0)),
         (OpTable(1, 2, (0,)), OpTable(1, 2, (0,)), "OpTable(n=1, k=2, entries=(0,))",
          (1, 2, (0, 0))),
         (mono, Monomial(j, ((2, 1),)), f"Monomial(origin={j!r}, exponents=((2, 1),))",

@@ -394,20 +394,26 @@ def test_count_loads_only_what_it_runs(argv):
     )
 
 
-# Every name the package exported when its __init__ still imported each
-# module eagerly.
+# Every name the package exports, and its version.
 _PACKAGE_EXPORTS = (
     "CycleType", "Perm", "all_perms", "cycle_type_count", "cycle_type_of",
-    "divisors", "enumerate_cycle_types", "realize_cycle_type",
+    "enumerate_cycle_types", "realize_cycle_type",
     "CensusQuery", "CensusResult", "GuardError",
     "VARIANT_CORRECT", "VARIANT_HARRISON", "count_k_magmas",
     "count_via_cycle_index", "count_via_permutation_sum", "fixed_point_count",
     "sequence", "weighted_divisor_sum",
     "CycleIndexPoly", "Monomial", "cycle_index_direct", "cycle_index_recursive",
     "induce", "max_indeterminate_index", "substitute_per_monomial",
-    "OpTable", "act", "all_tables", "canonical_form",
     "cell_permutation", "count_orbits_bruteforce", "fixed_tables_structural",
-    "is_automorphism", "orbit_stabilizer_check", "__version__",
+    "__version__",
+)
+
+# Names that only the tests run (tests/witnesses.py) or that nothing runs.
+_NOT_IN_THE_PACKAGE = (
+    "OpTable", "encode_cell", "decode_cell", "act", "all_tables", "canonical_form",
+    "is_automorphism", "fixed_tables_enumerated", "orbit_and_stabilizer_sizes",
+    "orbit_stabilizer_check", "apply_tuple", "divisors", "sequence_in_k",
+    "METHODS", "METHOD_CYCLE_INDEX",
 )
 
 
@@ -428,6 +434,17 @@ def test_package_exports_still_resolve():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "ok\n"
+
+
+def test_package_exports_exactly_what_its_callers_run():
+    import magma_census
+    from magma_census import arith, census, cycle_index, oracle
+
+    assert magma_census.__all__ == sorted(set(_PACKAGE_EXPORTS) - {"__version__"})
+    assert len(magma_census.__all__) == 28
+    for module in (magma_census, arith, census, cycle_index, oracle, cli):
+        for name in _NOT_IN_THE_PACKAGE:
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_one_guard_exception():
