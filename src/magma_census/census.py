@@ -20,20 +20,22 @@ The fixed-point count is then prod_L b_L^(F_k[L] / L), with the base
 b_L = sum of r j_r over the parts r dividing L.
 
 count_k_magmas walks the partitions of n depth first in multiplicity form,
-carrying F_2..F_k and z_j = prod_i i^{j_i} j_i! down the tree, so
-neighbouring cycle types share the work for the parts they share. Each
-key L of F_k carries its base: a joining part (r, c) adds r c to the keys
-it divides, and a new key reads its base off the parts once. Parts join
-in ascending size, so every later part t lies in (r, rest], rest being
-what is left of n, and can touch only the keys it divides. A key with no
-divisor in that range is settled: its power b_L^(F_k[L] / L) is
-multiplied into an exact product carried down the tree, and the key is
+carrying F_2..F_k and n!/z of the parts so far (z_j = prod_i i^{j_i} j_i!)
+down the tree, so neighbouring cycle types share the work for the parts
+they share. Each key L of F_k carries its base: a joining part (r, c)
+adds r c to the keys it divides, and a new key reads its base off the
+parts once. Parts join in ascending size, so every later part t lies in
+(r, rest], rest being what is left of n, and can touch only the keys it
+divides. A key with no divisor in that range is settled: its power
+b_L^(F_k[L] / L) goes into its edge's settled product, and the key is
 retired from F_k. A leaf builds only F'_k and settles every key of it
 inline, one bigint power each. At k <= 1 nothing is carried at all: the
 leaf reads F_k off the parts. The lcm of two part sizes and the binomials
 come from tables built once per walk.
-The weighted sum fpc(j) * n!/z_j is kept in exact integers and divided by
-n! once at the end, after checking that the weights n!/z_j sum to n!
+Each node returns its subtree sum S = sum over its edges of settled(edge)
+* S(child), with S(leaf) = n!/z_j, so by distributivity the root gets
+sum_j fpc(j) * n!/z_j and no product is carried down the tree. That is
+divided by n! once, after checking that the weights n!/z_j sum to n!
 exactly, which a single missed or repeated cycle type cannot pass. It runs
 serially in the calling process. The walk is the only caller of its edge
 function, _join.
@@ -255,39 +257,34 @@ def fixed_point_count(j: CycleType, k: int, variant: str = VARIANT_CORRECT) -> i
     )
 
 
-def _cycle_type_terms(n: int, k: int) -> Iterator[tuple[int, int]]:
-    # (fixed points, n!/z_j) for every cycle type j of n, each once. Depth
-    # first over partitions in multiplicity form: parts join in ascending
-    # size r, with a count c >= 1, and only larger parts follow, so a
-    # remainder in (0, r] cannot complete and is never entered. The edge
-    # adding (r, c) multiplies z by r^c c!, appends (r, r*c) to the parts
-    # and is one _join. Each node carries F_2..F_k (only the live keys of
-    # F_k), the bases of those keys and the product of the keys already
-    # settled on its path; the walk's tables are built once, here.
-    factorial = math.factorial(n)
-    if n == 0:
-        # The empty table for k >= 1; no constant at all for k = 0.
-        yield 1 if k else 0, 1
-        return
-    walk = _walk_tables(n, k)
-    # F_2..F_k start empty: no m-tuple with m >= 2 exists before a part.
-    stack = [(n, 1, 1, (), [{} for _ in range(2, k + 1)], {}, 1)]
-    while stack:
-        remaining, low, denom, parts, fold, bases, done = stack.pop()
-        # Past remaining // 2 only the single part r = remaining completes.
-        for r in [*range(low, remaining // 2 + 1), remaining]:
-            z = denom
-            for c in range(1, remaining // r + 1):
-                z *= r * c
-                rest = remaining - r * c
-                if 0 < rest <= r:
-                    continue
-                grown = parts + ((r, r * c),)
-                child, live, settled = _join(fold, bases, grown, rest, walk)
-                if rest == 0:
-                    yield done * settled, factorial // z
-                else:
-                    stack.append((rest, r + 1, z, grown, child, live, done * settled))
+def _subtree_sums(
+    remaining: int, low: int, share: int, parts: tuple, fold: list, bases: dict, walk: _Walk
+) -> tuple[int, int]:
+    # (sum of fpc * n!/z_j, sum of n!/z_j) over the cycle types j below a
+    # node, fpc counted from this node down. Depth first over partitions in
+    # multiplicity form: parts join in ascending size r, with a count c >= 1,
+    # and only larger parts follow, so a remainder in (0, r] cannot complete
+    # and is never entered. share is n!/z of the parts so far; the edge
+    # adding (r, c) divides it by r^c c!, appends (r, r*c) to the parts and
+    # is one _join, whose settled product scales the sum below it.
+    total = weights = 0
+    # Past remaining // 2 only the single part r = remaining completes.
+    for r in [*range(low, remaining // 2 + 1), remaining]:
+        below_share = share
+        for c in range(1, remaining // r + 1):
+            below_share //= r * c
+            rest = remaining - r * c
+            if 0 < rest <= r:
+                continue
+            grown = parts + ((r, r * c),)
+            child, live, settled = _join(fold, bases, grown, rest, walk)
+            if rest:
+                below, weight = _subtree_sums(rest, r + 1, below_share, grown, child, live, walk)
+            else:
+                below = weight = below_share
+            total += settled * below
+            weights += weight
+    return total, weights
 
 
 def _exact_average(total: int, n: int, k: int) -> int:
@@ -307,29 +304,30 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     of tables type j fixes and z_j = prod_i i^{j_i} j_i!, in exact
     integers, and divides the total by n! with one divmod; a remainder
     raises. The cycle types are never built one by one: a single
-    depth-first walk over the partitions of n carries z_j, the
-    part-by-part fold and the product of the settled tuple-cycle lengths
-    down the tree, so neighbouring types share every part they have in
-    common. The gcd variant instead sums
-    fixed_point_count(j, k, variant) over enumerate_cycle_types(n), one
-    cycle type at a time. Either way the weights n!/z_j must sum to n!
+    depth-first walk over the partitions of n carries n!/z and the
+    part-by-part fold down the tree, so neighbouring types share every
+    part they have in common, and returns each subtree's sum. The gcd
+    variant instead sums fixed_point_count(j, k, variant) over
+    enumerate_cycle_types(n), one cycle type at a time. Either way the weights n!/z_j must sum to n!
     exactly, which also catches a single type visited twice or missed;
     anything else raises. Serial and in a fixed order, so the result is
     the same bit for bit on every run.
     """
     query = CensusQuery(n, k, variant)
-    if variant == VARIANT_CORRECT:
-        terms = _cycle_type_terms(n, k)
-    else:
-        terms = (
-            (fixed_point_count(j, k, variant), cycle_type_count(j))
-            for j in enumerate_cycle_types(n)
-        )
-    total = weights = 0
-    for fpc, weight in terms:
-        total += fpc * weight
-        weights += weight
     factorial = math.factorial(n)
+    if variant != VARIANT_CORRECT:
+        total = weights = 0
+        for j in enumerate_cycle_types(n):
+            weight = cycle_type_count(j)
+            total += fixed_point_count(j, k, variant) * weight
+            weights += weight
+    elif n:
+        # F_2..F_k start empty: no m-tuple with m >= 2 exists before a part.
+        fold = [{} for _ in range(2, k + 1)]
+        total, weights = _subtree_sums(n, 1, factorial, (), fold, {}, _walk_tables(n, k))
+    else:
+        # The empty table for k >= 1; no constant at all for k = 0.
+        total, weights = 1 if k else 0, 1
     if weights != factorial:
         raise ArithmeticError(
             f"cycle-type weights sum to {weights}, not {n}! = {factorial}"

@@ -64,35 +64,58 @@ def test_fixed_point_count_empty_set():
 
 
 def test_every_walk_leaf_matches_its_cycle_type(monkeypatch):
-    # Each term the census walk yields, against the cycle type its leaf
-    # spells: the fixed points against fixed_point_count, the literal
-    # product over all tuples of cycle lengths, and the weight n!/z_j
-    # against cycle_type_count. A leaf's parts are those its own edge, the
-    # _join with rest = 0, received; n = 0 has a leaf and no edge. Every
-    # cycle type of n is reached exactly once.
-    join = census._join
-    leaf = []
+    # Every leaf and every node of the census walk, against the cycle types
+    # the leaves spell. Each _join's settled product is recorded under its
+    # parts, which name the edge. At a leaf, the product of the settles on
+    # its path is checked against fixed_point_count, the literal product
+    # over all tuples of cycle lengths. A node's subtree holds exactly the
+    # leaves reached during its call: its weights must be the sum of their
+    # cycle_type_count, and its total the sum over them of the settles
+    # below the node times that weight. n = 0 has no node and no edge.
+    # Every cycle type of n is reached exactly once.
+    join, node = census._join, census._subtree_sums
+    settled, leaves = {}, []
 
     def recorded(fold, bases, parts, rest, walk):
+        out = join(fold, bases, parts, rest, walk)
+        settled[parts] = out[2]
         if rest == 0:
-            leaf[:] = [parts]
-        return join(fold, bases, parts, rest, walk)
-
-    monkeypatch.setattr(census, "_join", recorded)
-    shapes = [(n, k) for n in range(0, 11) for k in range(0, 5)]
-    for n, k in shapes + [(20, 2), (12, 3)]:
-        leaf[:] = [()]
-        reached = []
-        for fpc, weight in census._cycle_type_terms(n, k):
-            (parts,) = leaf
-            leaf.clear()
-            counts = [0] * n
+            counts = [0] * sum(s for _, s in parts)
             for r, s in parts:
                 counts[r - 1] = s // r
-            j = CycleType(n, tuple(counts))
+            leaves.append((parts, CycleType(len(counts), tuple(counts))))
+        return out
+
+    def checked(remaining, low, share, parts, fold, bases, walk):
+        start = len(leaves)
+        total, weights = node(remaining, low, share, parts, fold, bases, walk)
+        below = leaves[start:]
+        assert below, parts
+        expected_total = expected_weights = 0
+        for path, j in below:
+            weight = arith.cycle_type_count(j)
+            expected_weights += weight
+            expected_total += weight * math.prod(
+                settled[path[:i]] for i in range(len(parts) + 1, len(path) + 1)
+            )
+        assert weights == expected_weights, (parts, remaining)
+        assert total == expected_total, (parts, remaining)
+        return total, weights
+
+    monkeypatch.setattr(census, "_join", recorded)
+    monkeypatch.setattr(census, "_subtree_sums", checked)
+    shapes = [(n, k) for n in range(0, 11) for k in range(0, 5)]
+    for n, k in shapes + [(20, 2), (12, 3)]:
+        settled.clear()
+        leaves.clear()
+        count = count_k_magmas(n, k).count
+        if n == 0:
+            assert not leaves and count == fixed_point_count(CycleType(0, ()), k)
+            continue
+        for path, j in leaves:
+            fpc = math.prod(settled[path[:i]] for i in range(1, len(path) + 1))
             assert fpc == fixed_point_count(j, k), f"n={n} k={k} j={j.j}"
-            assert weight == arith.cycle_type_count(j), f"n={n} k={k} j={j.j}"
-            reached.append(j)
+        reached = [j for _, j in leaves]
         assert sorted(reached) == sorted(enumerate_cycle_types(n)), (n, k)
 
 
@@ -296,19 +319,21 @@ def test_walk_builds_no_cycle_type(monkeypatch):
 
 @pytest.mark.parametrize("fault", ["lost", "repeated"])
 def test_weight_sum_check_catches_a_wrong_walk(monkeypatch, fault):
-    walk = census._cycle_type_terms
+    # The first node with a single leaf below it (only the part r =
+    # remaining completes) passes that leaf no share, or twice its share.
+    node = census._subtree_sums
+    injected = []
 
-    def faulty(n, k):
-        terms = walk(n, k)
-        first = next(terms)
-        if fault == "repeated":
-            yield first
-            yield first
-        yield from terms
+    def faulty(remaining, low, share, *rest):
+        if not injected and low > remaining // 2:
+            injected.append(remaining)
+            share = 0 if fault == "lost" else 2 * share
+        return node(remaining, low, share, *rest)
 
-    monkeypatch.setattr(census, "_cycle_type_terms", faulty)
+    monkeypatch.setattr(census, "_subtree_sums", faulty)
     with pytest.raises(ArithmeticError, match="weights"):
         count_k_magmas(6, 2)
+    assert injected
 
 
 def test_cycle_index_route_harrison():

@@ -262,6 +262,9 @@ _USAGE_ERRORS = [
     ("count", "--n", "3", "--k", "2", "--method", "cycle-index"),
     ("verify", "--format", "json"),
     ("verify", "--n-max", "-1"),
+    ("sequence", "--k", "2", "--from", "0", "--to", "3", "--jobs", "0"),
+    ("cycle-index", "--n", "3", "--power", "-1"),
+    ("verify", "--suite", "variant", "--jobs", "0"),
 ]
 
 _ARGUMENT_PROBLEMS = [
@@ -286,6 +289,22 @@ _ARGUMENT_PROBLEMS = [
     ("verify", "--suite", "variant", "--seed", "5"),
     ("count", "--n", "3", "--k", "2", "--method", "permutation", "--perm-guard", "8"),
 ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [[], ["count"], ["sequence"], ["cycle-index"], ["verify"]],
+    ids=lambda command: " ".join(command) or "top-level",
+)
+def test_help_exits_0_with_the_commands_usage(command, capsys):
+    # In-process: the top-level parser and each command print their own
+    # usage on stdout and exit 0 before any work.
+    with pytest.raises(SystemExit) as e:
+        cli.entry_point([*command, "--help"])
+    assert e.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(" ".join(["usage: magma-census", *command, ""]))
+    assert err == ""
 
 
 def test_usage_errors_exit_2():
