@@ -231,12 +231,31 @@ def all_perms(n: int) -> Iterator[Perm]:
         yield Perm(images)
 
 
+def cycle_counts(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle-count vector of the permutation with these images, j_i = number
+    of i-cycles, read in one pass that marks each point as its cycle is walked.
+
+    Not validated; cycle_type_of wraps it in a CycleType.
+    """
+    n = len(images)
+    j = [0] * n
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        j[length - 1] += 1
+    return tuple(j)
+
+
 def cycle_type_of(p: Perm) -> CycleType:
     """Cycle type of a permutation: j_i = number of i-cycles."""
-    j = [0] * p.n
-    for cyc in p.cycles():
-        j[len(cyc) - 1] += 1
-    return CycleType(p.n, tuple(j))
+    return CycleType(p.n, cycle_counts(p.images))
 
 
 def realize_cycle_type(j: CycleType, rng=None) -> Perm:

@@ -71,8 +71,8 @@ from .arith import (
     CycleType,
     GuardError,
     all_perms,
+    cycle_counts,
     cycle_type_count,
-    cycle_type_of,
     enumerate_cycle_types,
     induced_exponents,
 )
@@ -349,10 +349,10 @@ def count_via_permutation_sum(n: int, k: int, variant: str = VARIANT_CORRECT) ->
     cache: dict[tuple[int, ...], int] = {}
     total = 0
     for p in all_perms(n):
-        j = cycle_type_of(p)
-        if j.j not in cache:
-            cache[j.j] = fixed_point_count(j, k, variant)
-        total += cache[j.j]
+        j = cycle_counts(p.images)
+        if j not in cache:
+            cache[j] = fixed_point_count(CycleType(n, j), k, variant)
+        total += cache[j]
     return CensusResult(query, _exact_average(total, n, k))
 
 

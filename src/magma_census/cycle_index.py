@@ -18,7 +18,6 @@ provenance, which is exactly what the non-faithful power-0 action needs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -28,6 +27,7 @@ from typing import Callable
 
 from .arith import (
     VARIANT_CORRECT,
+    VARIANT_HARRISON,
     VARIANTS,
     CycleType,
     cycle_type_count,
@@ -80,6 +80,18 @@ class CycleIndexPoly(namedtuple("CycleIndexPoly", "n power terms variant")):
     ):
         if (power is None) != (variant is None) or variant not in (None, *VARIANTS):
             raise ValueError(f"power {power} with variant {variant!r}")
+        # Each monomial's cycles partition the set its term acts on: the n
+        # points, or the n^k tuples under the correct rule. The gcd rule's
+        # multiplier is not the tuple-cycle count, so its terms need not.
+        if variant != VARIANT_HARRISON:
+            size = n if power is None else n**power
+            for _, mono in terms:
+                covered = sum(itertools.starmap(operator.mul, mono.exponents))
+                if covered != size:
+                    raise ValueError(
+                        f"monomial {mono.render() or '1'} covers {covered} "
+                        f"elements, expected {size}"
+                    )
         # Coefficients are rationals: the sign sits in the numerator, and the
         # sum is taken over their least common denominator, in integers.
         numerators = [c.numerator for c, _ in terms]
@@ -128,46 +140,60 @@ class CycleIndexPoly(namedtuple("CycleIndexPoly", "n power terms variant")):
         }
 
 
+def direct_counts(n: int) -> list[tuple[CycleType, int]]:
+    """n! Z_n term by term: each cycle type j of n with its count n!/z_j.
+
+    In cycle-type enumeration order. cycle_index_direct spells Z_n from
+    these integers, and the cycle-index suite checks them against
+    recursive_counts.
+    """
+    return [(j, cycle_type_count(j)) for j in enumerate_cycle_types(n)]
+
+
 def cycle_index_direct(n: int) -> CycleIndexPoly:
     """Cycle index of the natural action, built term by term from the cycle types."""
     factorial = math.factorial(n)
     terms = []
-    for j in enumerate_cycle_types(n):
+    for j, count in direct_counts(n):
         exps = tuple((i, c) for i, c in enumerate(j.j, start=1) if c > 0)
-        terms.append((Fraction(cycle_type_count(j), factorial), Monomial(j, exps)))
+        terms.append((Fraction(count, factorial), Monomial(j, exps)))
     return CycleIndexPoly(n, None, tuple(terms))
 
 
-@functools.cache
-def _recursive_table(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # N_n = n! Z_n in integer coefficients, keyed by cycle-count vectors j
-    # of length n. From Z_n = (1/n) sum_{i=1..n} t_i Z_{n-i}: N_0 = 1 and
-    # N_n = sum_i (n-1)!/(n-i)! t_i N_{n-i}, where t_i pads j to length n
-    # and adds one i-cycle.
-    if n == 0:
-        return (((), 1),)
-    acc: dict[tuple[int, ...], int] = {}
-    falling = 1  # (n-1)!/(n-i)!
-    for i in range(1, n + 1):
-        pad = (0,) * i
-        for key, coeff in _recursive_table(n - i):
-            j = list(key + pad)
-            j[i - 1] += 1
-            j = tuple(j)
-            acc[j] = acc.get(j, 0) + falling * coeff
-        falling *= n - i
-    return tuple(acc.items())
+def recursive_counts(n: int) -> list[dict[tuple[int, ...], int]]:
+    """N_0, ..., N_n with N_m = m! Z_m, keyed by cycle-count vectors of length m.
+
+    The length of the cycle through a marked point gives
+    Z_m = (1/m) sum_{i=1..m} t_i Z_{m-i}, so N_0 = 1 and
+    N_m = sum_i (m-1)!/(m-i)! t_i N_{m-i}, where t_i pads the vector to
+    length m and adds one i-cycle. One ascending pass builds every N_m
+    into a fresh list; nothing is kept between calls.
+    """
+    tables: list[dict[tuple[int, ...], int]] = [{(): 1}]
+    for m in range(1, n + 1):
+        acc: dict[tuple[int, ...], int] = {}
+        falling = 1  # (m-1)!/(m-i)!
+        for i in range(1, m + 1):
+            pad = (0,) * i
+            for key, coeff in tables[m - i].items():
+                j = list(key + pad)
+                j[i - 1] += 1
+                j = tuple(j)
+                acc[j] = acc.get(j, 0) + falling * coeff
+            falling *= m - i
+        tables.append(acc)
+    return tables
 
 
 def cycle_index_recursive(n: int) -> CycleIndexPoly:
     """Cycle index of the natural action via the length-of-the-cycle-through-a-
     marked-point recursion; identical term set to cycle_index_direct.
 
-    The recursion runs in integers (n! Z_n); each coefficient is divided
-    by n! once, at the end.
+    The recursion runs in integers (n! Z_n, recursive_counts); each
+    coefficient is divided by n! once, at the end.
     """
     factorial = math.factorial(n)
-    table = dict(_recursive_table(n))
+    table = recursive_counts(n)[n]
     terms = []
     for j in enumerate_cycle_types(n):
         coeff = table.pop(j.j, None)

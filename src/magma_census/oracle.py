@@ -127,11 +127,13 @@ def _relabel_groups(n: int, k: int):
     if n**k == 1:
         if n < 2:
             return []
-        least = [
-            min(map(operator.itemgetter(v),
-                    itertools.islice(itertools.permutations(range(n)), 1, None)))
-            for v in range(n)
-        ]
+
+        def images_of(v):
+            return map(operator.itemgetter(v),
+                       itertools.islice(itertools.permutations(range(n)), 1, None))
+
+        # Each least-image scan stops at the first image 0, as none is smaller.
+        least = [0 if 0 in images_of(v) else min(images_of(v)) for v in range(n)]
         return [(0, least, [[()] * n] * n)]
     ties: dict[int, list[list[list]]] = {}
     for m in _relabel_maps(n, k):

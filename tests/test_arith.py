@@ -92,6 +92,17 @@ def test_cycle_type_count_matches_direct_tally():
             assert cycle_type_count(j) == tally[j.j]
 
 
+def test_cycle_type_of_matches_the_cycle_list():
+    # The one-pass count (census.count_via_permutation_sum reads it too)
+    # against the lengths of the cycles Perm.cycles lists.
+    for n in range(0, 7):
+        for p in all_perms(n):
+            lengths = [0] * n
+            for cyc in p.cycles():
+                lengths[len(cyc) - 1] += 1
+            assert cycle_type_of(p) == CycleType(n, tuple(lengths)), p
+
+
 def test_perm_basics():
     p = Perm((1, 2, 0))
     assert p(0) == 1

@@ -243,6 +243,26 @@ def test_verify_cycle_index_suite():
     )
 
 
+@pytest.mark.parametrize("n", [5, 20])
+def test_verify_cycle_index_suite_reports_a_perturbed_recursion(monkeypatch, n):
+    # One entry of N_n off by one: the integer tables differ at n, and at
+    # n <= 9 the whole polynomials too, with one line either way.
+    from magma_census import cycle_index
+
+    recursive_counts = cycle_index.recursive_counts
+
+    def perturbed(top):
+        tables = recursive_counts(top)
+        if top >= n:
+            key = next(iter(tables[n]))
+            tables[n][key] += 1
+        return tables
+
+    monkeypatch.setattr(cycle_index, "recursive_counts", perturbed)
+    failures, _ = cli._suite_cycle_index()
+    assert failures == [f"n={n}: recursive cycle index differs from direct"]
+
+
 def test_verify_cross_method_reports_its_coverage():
     # A PASS says what it covered.
     r = run_cli("verify", "--suite", "cross-method")

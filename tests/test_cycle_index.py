@@ -14,6 +14,8 @@ from magma_census import (
     realize_cycle_type,
     substitute_per_monomial,
 )
+from magma_census import cycle_index
+from magma_census.cycle_index import recursive_counts
 from magma_census.oracle import cell_permutation
 
 from conftest import partition_count
@@ -34,6 +36,16 @@ def test_render_induced_square():
 def test_recursive_equals_direct():
     for n in range(0, 15):
         assert cycle_index_recursive(n).terms == cycle_index_direct(n).terms
+
+
+def test_recursive_counts_keep_no_state():
+    # One pass per call into a fresh list; nothing in the module is cached.
+    assert not any(hasattr(value, "cache_info") for value in vars(cycle_index).values())
+    first, second = recursive_counts(12), recursive_counts(12)
+    assert first == second
+    assert first is not second
+    assert all(a is not b for a, b in zip(first, second))
+    assert [len(table) for table in first] == [partition_count(m) for m in range(13)]
 
 
 def test_term_count_is_partition_count():
@@ -156,6 +168,26 @@ def test_poly_rejects_bad_weights():
         with pytest.raises(ValueError, match=message):
             CycleIndexPoly(2, None, terms)
     assert CycleIndexPoly(2, None, ((Fraction(1, 2), m1), (Fraction(1, 2), m2))).n == 2
+
+
+def test_poly_refuses_exponents_that_miss_the_set():
+    # A natural term's cycles cover the n points ...
+    (coeff, mono), *rest = cycle_index_direct(20).terms
+    assert mono.exponents == ((1, 20),)
+    wrong = (coeff, Monomial(mono.origin, ((1, 21),)))
+    with pytest.raises(ValueError, match=r"t1\^21 covers 21 elements, expected 20"):
+        CycleIndexPoly(20, None, (wrong, *rest))
+    # ... and a correct induced term's cover the n^k tuples.
+    terms = list(induce(cycle_index_direct(3), 2).terms)
+    coeff, mono = terms[1]
+    assert mono.exponents == ((1, 1), (2, 4))
+    terms[1] = (coeff, Monomial(mono.origin, ((1, 1), (2, 5))))
+    with pytest.raises(ValueError, match=r"t1\*t2\^5 covers 11 elements, expected 9"):
+        CycleIndexPoly(3, 2, tuple(terms), "correct")
+    # The gcd rule is exempt: its terms need not cover the tuples, and at
+    # (2, 3) its 2-cycle term, t2^2, covers 4 of 8.
+    CycleIndexPoly(3, 2, tuple(terms), VARIANT_HARRISON)
+    assert induce(cycle_index_direct(2), 3, VARIANT_HARRISON).terms[1][1].exponents == ((2, 2),)
 
 
 def test_induced_index_names_its_exponent_rule():

@@ -163,6 +163,16 @@ def test_grouped_canonicity_test_matches_canonical_form():
                 assert skipped == 0, (n, k, t.entries, reach)
 
 
+def test_one_cell_least_images_are_full_minima():
+    # The one-cell scan stops early at image 0; it must still give the
+    # least image of each value over every non-identity relabeling.
+    for n in range(2, 8):
+        relabelings = list(itertools.permutations(range(n)))[1:]
+        [(c0, least, _)] = _relabel_groups(n, 0)
+        assert c0 == 0
+        assert least == [min(images[v] for images in relabelings) for v in range(n)], n
+
+
 def test_orbit_count_pinned():
     assert count_orbits_bruteforce(2, 2) == 10
     assert count_orbits_bruteforce(3, 2) == 3330
