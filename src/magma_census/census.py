@@ -22,16 +22,15 @@ b_L = sum of r j_r over the parts r dividing L.
 count_k_magmas walks the partitions of n depth first in multiplicity form,
 carrying F_2..F_k and n!/z of the parts so far (z_j = prod_i i^{j_i} j_i!)
 down the tree, so neighbouring cycle types share the work for the parts
-they share. Each key L of F_k carries its base: a joining part (r, c)
-adds r c to the keys it divides, and a new key reads its base off the
-parts once. Parts join in ascending size, so every later part t lies in
+they share. A key L of F_k carries only its weight: b_L depends on the
+parts alone. Parts join in ascending size, so every later part t lies in
 (r, rest], rest being what is left of n, and can touch only the keys it
-divides. A key with no divisor in that range is settled: its power
-b_L^(F_k[L] / L) goes into its edge's settled product, and the key is
-retired from F_k. A leaf builds only F'_k and settles every key of it
-inline, one bigint power each. At k <= 1 nothing is carried at all: the
-leaf reads F_k off the parts. The lcm of two part sizes and the binomials
-come from tables built once per walk.
+divides. A key with no divisor in that range is settled: it reads b_L off
+the parts, its power b_L^(F_k[L] / L) goes into its edge's settled
+product, and the key is retired from F_k. A leaf builds only F'_k and
+settles every key of it inline, one bigint power each. At k <= 1 nothing
+is carried at all: the leaf reads F_k off the parts. The lcm of two part
+sizes comes from a table built once per walk.
 Each node returns its subtree sum S = sum over its edges of settled(edge)
 * S(child), with S(leaf) = n!/z_j, so by distributivity the root gets
 sum_j fpc(j) * n!/z_j and no product is carried down the tree. That is
@@ -140,20 +139,19 @@ class _Keys(dict):
 
 
 # What every edge of one walk looks up, built once per walk: the arity k,
-# lcm[r][p] = lcm(p, r) over part sizes, comb[m][a] = C(m, a) for m <= k,
-# and the divisor table of the keys (_Keys).
-_Walk = namedtuple("_Walk", "k lcm comb keys")
+# lcm[r][p] = lcm(p, r) over part sizes, and the divisor table of the keys
+# (_Keys).
+_Walk = namedtuple("_Walk", "k lcm keys")
 
 
 def _walk_tables(n: int, k: int) -> _Walk:
     lcm = [[math.lcm(p, r) for p in range(n + 1)] for r in range(n + 1)]
-    comb = [[math.comb(m, a) for a in range(m + 1)] for m in range(k + 1)]
-    return _Walk(k, lcm, comb, _Keys(n))
+    return _Walk(k, lcm, _Keys(n))
 
 
 def _join(
-    fold: list[dict], bases: dict, parts: tuple, rest: int, walk: _Walk
-) -> tuple[list[dict], dict, int]:
+    fold: list[dict], parts: tuple, rest: int, walk: _Walk
+) -> tuple[list[dict], int]:
     """One edge of the walk: the part parts[-1] = (r, s), s = r * j_r, joins.
 
     fold is F_2..F_k. F_0 = {1: 1} and F_1 = {p: s_p} are fixed by the
@@ -166,17 +164,15 @@ def _join(
     walk's lcm table. rest is what is left of n; a leaf (rest = 0) needs
     only F'_k.
 
-    bases maps each key of F_k to its base b_L, the sum of s' over the
-    earlier parts (r', s') with r' | L. The new part adds s to the keys
-    with r | L; a key new to F_k (always a multiple of r) reads its base
-    off the parts once. A key that no later part can touch (see _Keys) is
-    settled: b_L ** (F'_k[L] / L) goes into the product, and the key
-    leaves F'_k and the bases. A leaf is an edge with no later part, so
-    it settles every key of F'_k. At k <= 1 nothing is stored: inner edges pass
-    through, and the leaf reads F_k off the parts. Returns (F'_2..F'_k,
-    bases of F'_k, product); at a leaf only the product means anything.
+    A key that no later part can touch (see _Keys) is settled: it reads
+    its base b_L, the sum of s' over the parts (r', s') with r' | L, off
+    the parts, b_L ** (F'_k[L] / L) goes into the product, and the key
+    leaves F'_k. A leaf is an edge with no later part, so it settles every
+    key of F'_k. At k <= 1 nothing is stored: inner edges pass through,
+    and the leaf reads F_k off the parts. Returns (F'_2..F'_k, product);
+    at a leaf only the product means anything.
     """
-    k, lcm_of, comb_of, keys = walk
+    k, lcm_of, keys = walk
     r, s = parts[-1]
     if k >= 2:
         lcm = math.lcm
@@ -186,11 +182,10 @@ def _join(
         for m in range(2 if rest else k, k + 1):
             acc = fold[m - 2].copy()
             get = acc.get
-            comb = comb_of[m]
             power = 1
             for a in range(1, m - 1):
                 power *= s
-                coeff = comb[a] * power
+                coeff = math.comb(m, a) * power
                 for length, v in fold[m - a - 2].items():
                     length = lcm(length, r)
                     acc[length] = get(length, 0) + coeff * v
@@ -204,31 +199,25 @@ def _join(
         top = out[-1]
     elif rest:
         # k <= 1 carries nothing, so an inner edge has nothing to update.
-        return fold, bases, 1
+        return fold, 1
     else:
         top = dict(parts) if k else {1: 1}
     product = 1
     live: dict = {}
-    live_bases: dict = {}
     for length, v in top.items():
-        base = bases.get(length)
-        if base is None:
+        # At a leaf (rest = 0) no later part exists, so every key settles.
+        if rest and keys[length][r] <= rest:
+            live[length] = v
+        else:
             base = 0
             for p, t in parts:
                 if length % p == 0:
                     base += t
-        elif length % r == 0:
-            base += s
-        # At a leaf (rest = 0) no later part exists, so every key settles.
-        if rest and keys[length][r] <= rest:
-            live[length] = v
-            live_bases[length] = base
-        else:
             product *= base ** (v // length)
     if not rest:
-        return [], {}, product
+        return [], product
     out[-1] = live
-    return out, live_bases, product
+    return out, product
 
 
 def fixed_point_count(j: CycleType, k: int, variant: str = VARIANT_CORRECT) -> int:
@@ -258,7 +247,7 @@ def fixed_point_count(j: CycleType, k: int, variant: str = VARIANT_CORRECT) -> i
 
 
 def _subtree_sums(
-    remaining: int, low: int, share: int, parts: tuple, fold: list, bases: dict, walk: _Walk
+    remaining: int, low: int, share: int, parts: tuple, fold: list, walk: _Walk
 ) -> tuple[int, int]:
     # (sum of fpc * n!/z_j, sum of n!/z_j) over the cycle types j below a
     # node, fpc counted from this node down. Depth first over partitions in
@@ -277,9 +266,11 @@ def _subtree_sums(
             if 0 < rest <= r:
                 continue
             grown = parts + ((r, r * c),)
-            child, live, settled = _join(fold, bases, grown, rest, walk)
+            child, settled = _join(fold, grown, rest, walk)
             if rest:
-                below, weight = _subtree_sums(rest, r + 1, below_share, grown, child, live, walk)
+                below, weight = _subtree_sums(
+                    rest, r + 1, below_share, grown, child, walk
+                )
             else:
                 below = weight = below_share
             total += settled * below
@@ -308,10 +299,10 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     part-by-part fold down the tree, so neighbouring types share every
     part they have in common, and returns each subtree's sum. The gcd
     variant instead sums fixed_point_count(j, k, variant) over
-    enumerate_cycle_types(n), one cycle type at a time. Either way the weights n!/z_j must sum to n!
-    exactly, which also catches a single type visited twice or missed;
-    anything else raises. Serial and in a fixed order, so the result is
-    the same bit for bit on every run.
+    enumerate_cycle_types(n), one cycle type at a time. Either way the
+    weights n!/z_j must sum to n! exactly, which also catches a single
+    type visited twice or missed; anything else raises. Serial and in a
+    fixed order, so the result is the same bit for bit on every run.
     """
     query = CensusQuery(n, k, variant)
     factorial = math.factorial(n)
@@ -324,7 +315,7 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     elif n:
         # F_2..F_k start empty: no m-tuple with m >= 2 exists before a part.
         fold = [{} for _ in range(2, k + 1)]
-        total, weights = _subtree_sums(n, 1, factorial, (), fold, {}, _walk_tables(n, k))
+        total, weights = _subtree_sums(n, 1, factorial, (), fold, _walk_tables(n, k))
     else:
         # The empty table for k >= 1; no constant at all for k = 0.
         total, weights = 1 if k else 0, 1
@@ -363,8 +354,8 @@ def count_via_cycle_index(n: int, k: int, variant: str = VARIANT_CORRECT) -> Cen
     loop under the variant's convention, and substitutes
     weighted_divisor_sum per term. A third route for cross-checking: for
     the correct count it shares no code with count_k_magmas, whose walk
-    folds whole parts into maps keyed by tuple-cycle length and carries
-    each length's divisor sum down the partition tree. The gcd variant has
+    folds whole parts into maps keyed by tuple-cycle length and reads each
+    length's divisor sum off the parts where it settles. The gcd variant has
     no walk; both routes run the same loop and differ in how they sum.
     """
     from .cycle_index import cycle_index_direct, induce, substitute_per_monomial

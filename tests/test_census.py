@@ -76,9 +76,9 @@ def test_every_walk_leaf_matches_its_cycle_type(monkeypatch):
     join, node = census._join, census._subtree_sums
     settled, leaves = {}, []
 
-    def recorded(fold, bases, parts, rest, walk):
-        out = join(fold, bases, parts, rest, walk)
-        settled[parts] = out[2]
+    def recorded(fold, parts, rest, walk):
+        out = join(fold, parts, rest, walk)
+        settled[parts] = out[1]
         if rest == 0:
             counts = [0] * sum(s for _, s in parts)
             for r, s in parts:
@@ -86,9 +86,9 @@ def test_every_walk_leaf_matches_its_cycle_type(monkeypatch):
             leaves.append((parts, CycleType(len(counts), tuple(counts))))
         return out
 
-    def checked(remaining, low, share, parts, fold, bases, walk):
+    def checked(remaining, low, share, parts, fold, walk):
         start = len(leaves)
-        total, weights = node(remaining, low, share, parts, fold, bases, walk)
+        total, weights = node(remaining, low, share, parts, fold, walk)
         below = leaves[start:]
         assert below, parts
         expected_total = expected_weights = 0
@@ -270,35 +270,60 @@ def _divides_later_part(length, r, rest):
     return any(length % t == 0 for t in range(r + 1, rest + 1))
 
 
+def _literal_fold(parts, k):
+    # F_k over the parts: each ordered k-tuple of parts (p_i, s_i) adds
+    # prod s_i at lcm(p_1, ..., p_k).
+    fold = {}
+    for tup in itertools.product(parts, repeat=k):
+        length = math.lcm(*(p for p, _ in tup))
+        fold[length] = fold.get(length, 0) + math.prod(s for _, s in tup)
+    return fold
+
+
 def test_join_keeps_exactly_the_keys_a_later_part_can_touch(monkeypatch):
     # Every edge of every walk: a key of F_k stays live exactly when some
-    # later part t in (r, rest] divides its length, and each live key
-    # carries the sum of s over the parts (p, s) with p | L. The fold holds
-    # F_2..F_k only; F_0 = {1: 1} and F_1 = {p: s_p} are built here from
-    # the parts before the edge. At k <= 1 nothing is stored, so no key is
-    # live and every key settles at the leaf.
+    # later part t in (r, rest] divides its length, and carries its weight
+    # in F'_k. The fold holds F_2..F_k only; F_0 = {1: 1} and F_1 = {p: s_p}
+    # are built here from the parts before the edge. The edge settles the
+    # keys it is answerable for, those carried in or that r divides, and
+    # that do not stay live: its product is recomputed from F'_k built over
+    # the k-tuples of the grown parts, each such key raised to
+    # b_L ** (F'_k[L] / L), b_L the sum of s over the parts (p, s) with
+    # p | L. At k <= 1 nothing is stored, so no key is live, an inner edge
+    # settles nothing and the leaf settles every key.
     join = census._join
     edges = []
 
-    def checked(fold, bases, parts, rest, walk):
+    def checked(fold, parts, rest, walk):
         k = walk.k
         r = parts[-1][0]
         before = [{1: 1}, dict(parts[:-1]), *fold]
         grown = set(before[k]) | {
             math.lcm(length, r) for i in range(k) for length in before[i]
         }
-        out, live_bases, product = join(fold, bases, parts, rest, walk)
+        out, product = join(fold, parts, rest, walk)
         live = out[-1] if out else {}
-        assert live.keys() == live_bases.keys() <= grown
+        assert live.keys() <= grown
         for length in grown:
             assert (length in live) == (
                 k >= 2 and _divides_later_part(length, r, rest)
             ), (parts, rest, length)
-        for length, base in live_bases.items():
-            assert base == sum(s for p, s in parts if length % p == 0), (parts, length)
+        full = _literal_fold(parts, k)
+        assert all(full[length] == v for length, v in live.items()), parts
+        if k >= 2:
+            answerable = {
+                length for length in full if length in before[k] or length % r == 0
+            }
+        else:
+            answerable = set() if rest else set(full)
+        expected = 1
+        for length in answerable - live.keys():
+            base = sum(s for p, s in parts if length % p == 0)
+            expected *= base ** (full[length] // length)
+        assert product == expected, (parts, rest)
         if rest and k >= 2:
             edges.append((len(live), len(grown) - len(live)))
-        return out, live_bases, product
+        return out, product
 
     monkeypatch.setattr(census, "_join", checked)
     for n, k in ((20, 2), (14, 3), (8, 3), (9, 4), (8, 0), (12, 1)):
