@@ -99,8 +99,10 @@ def enumerate_cycle_types(n: int) -> Iterator[CycleType]:
     """
     if n < 0:
         raise ValueError(f"negative ground-set size {n}")
+    # Each vector is built valid, so CycleType.__new__'s checks are skipped.
+    make = tuple.__new__
     if n == 0:
-        yield CycleType(0, ())
+        yield make(CycleType, (0, ()))
         return
     # j[i] counts the parts of length i. Written with parts descending, the
     # next partition raises the first part equal to the second-to-last one,
@@ -110,7 +112,7 @@ def enumerate_cycle_types(n: int) -> Iterator[CycleType]:
     j = [0] * (n + 1)
     j[1] = n
     while True:
-        yield CycleType(n, tuple(j[1:]))
+        yield make(CycleType, (n, tuple(j[1:])))
         x = 1
         while not j[x]:
             x += 1

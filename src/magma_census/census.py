@@ -36,8 +36,19 @@ Each node returns its subtree sum S = sum over its edges of settled(edge)
 sum_j fpc(j) * n!/z_j and no product is carried down the tree. That is
 divided by n! once, after checking that the weights n!/z_j sum to n!
 exactly, which a single missed or repeated cycle type cannot pass. It runs
-serially in the calling process. The walk is the only caller of its edge
-function, _join.
+serially in the calling process.
+
+Which walk serves which arity: k = 2, the magma, takes a binary walk of
+its own (_pair_sums, with the edges _pair_join and _pair_close), and
+every other k takes the general walk above (_subtree_sums, whose edge
+_join has no other caller). At k = 2 the fold is the single map F_2, and
+an edge adds 2 s sum_p s_p [lcm(p, r)] + s^2 [r] to it in one pass. Each
+node reads the base of a key off its parts once, and an edge reuses it
+as b_L + s [r | L]. A child whose rest is at most 2r + 1 has one
+completion only, the single part rest, so it is never entered: its
+parent's edge joins both parts and settles every key. A leaf edge builds
+no F'_2: each pair of parts settles its own term at its lcm. The tests
+hold the binary walk to the general one forced at k = 2.
 
 fixed_point_count(j, k, variant) is the per-type count the other two
 routes read: the literal product over all |support(j)|^k ordered tuples
@@ -278,6 +289,151 @@ def _subtree_sums(
     return total, weights
 
 
+class _Bases(dict):
+    """Tuple-cycle length L -> b_L over one node's parts: the sum of s over
+    the parts (p, s) with p | L. Read off the parts once per key and node.
+    """
+
+    def __init__(self, parts: tuple):
+        super().__init__()
+        self.parts = parts
+
+    def __missing__(self, length: int) -> int:
+        base = 0
+        for p, t in self.parts:
+            if length % p == 0:
+                base += t
+        self[length] = base
+        return base
+
+
+def _pair_join(
+    live: dict, bases: _Bases, parts: tuple, r: int, s: int, rest: int, walk: _Walk
+) -> tuple[dict, int]:
+    """An inner edge of the k = 2 walk: (r, s), s = r * j_r, joins parts.
+
+    live is the node's F_2 over its live keys, bases the node's _Bases,
+    and rest > 2r + 1 is left to the child. In one pass,
+    F'_2 = F_2 + 2s sum_p s_p [lcm(p, r)] + s^2 [r]. A key of F'_2 that no
+    later part in (r, rest] divides settles with base bases[L] + s [r | L].
+    Returns (F'_2 over the keys that stay live, settled product).
+    """
+    acc = live.copy()
+    get = acc.get
+    row = walk.lcm[r]
+    twice = 2 * s
+    for p, t in parts:
+        length = row[p]
+        acc[length] = get(length, 0) + twice * t
+    acc[r] = get(r, 0) + s * s
+    keys = walk.keys
+    child = {}
+    product = 1
+    for length, v in acc.items():
+        if keys[length][r] <= rest:
+            child[length] = v
+        elif length % r:
+            product *= bases[length] ** (v // length)
+        else:
+            product *= (bases[length] + s) ** (v // length)
+    return child, product
+
+
+def _pair_close(
+    live: dict, bases: _Bases, parts: tuple, r: int, s: int, rest: int, walk: _Walk
+) -> int:
+    """A leaf edge of the k = 2 walk: (r, s) joins parts and ends the path.
+
+    rest = 0 ends it at (r, s). Otherwise rest lies in (r, 2r + 1], where
+    the single part (rest, rest) is the only completion, and this edge
+    joins it too. No key outlives a leaf, so F'_2 is never built: each
+    pair of parts settles its own term, b_L ** (w / L) for the weight w it
+    adds at L = lcm, where b_L, the base over the leaf's parts, is
+    bases[L] + s [r | L] + rest [rest | L]. Terms at one L share their
+    base, so the product is the same as over merged keys. A pair (p, r)
+    with p | r lands on L = r, so those merge into one term; likewise at
+    rest. Returns the settled product.
+    """
+    product = 1
+    for length, v in live.items():
+        base = bases[length]
+        if length % r == 0:
+            base += s
+        if rest and length % rest == 0:
+            base += rest
+        product *= base ** (v // length)
+    # (p, r) and (r, p) add 2 s t at lcm(p, r); (r, r) adds s^2 at r.
+    row = walk.lcm[r]
+    twice = 2 * s
+    at_r = 0
+    for p, t in parts:
+        if r % p == 0:
+            at_r += t
+            continue
+        length = row[p]
+        base = bases[length] + s
+        if rest and length % rest == 0:
+            base += rest
+        product *= base ** (twice * t // length)
+    # rest never divides r < rest. b_r = at_r + s, w_r = 2 s at_r + s^2.
+    product *= (at_r + s) ** (s * (2 * at_r + s) // r)
+    if rest:
+        # (p, rest) adds 2 rest t at lcm(p, rest) for each part, (r, s)
+        # among them; (rest, rest) adds rest^2 at rest.
+        row = walk.lcm[rest]
+        twice = 2 * rest
+        at_rest = 0
+        for p, t in parts:
+            if rest % p == 0:
+                at_rest += t
+                continue
+            length = row[p]
+            base = bases[length] + rest
+            if length % r == 0:
+                base += s
+            product *= base ** (twice * t // length)
+        if rest % r:
+            length = row[r]
+            product *= (bases[length] + s + rest) ** (twice * s // length)
+        else:
+            at_rest += s
+        # b_rest = at_rest + rest, w_rest = 2 rest at_rest + rest^2.
+        product *= (at_rest + rest) ** (2 * at_rest + rest)
+    return product
+
+
+def _pair_sums(
+    remaining: int, low: int, share: int, parts: tuple, live: dict, walk: _Walk
+) -> tuple[int, int]:
+    # _subtree_sums at k = 2, where the fold is F_2 over the live keys. The
+    # node's _Bases reads each key's base off its parts once, and every
+    # edge below the node reuses it. Only parts larger than r follow, so
+    # a rest in (r, 2r + 1] has one completion, the single part rest: that
+    # child is closed by its parent's edge instead of entered, and its
+    # weight is n!/z of both parts, the last one, (rest, 1), dividing the
+    # share by rest.
+    bases = _Bases(parts)
+    total = weights = 0
+    for r in [*range(low, remaining // 2 + 1), remaining]:
+        below_share = share
+        for c in range(1, remaining // r + 1):
+            below_share //= r * c
+            rest = remaining - r * c
+            if 0 < rest <= r:
+                continue
+            if rest > 2 * r + 1:
+                child, settled = _pair_join(live, bases, parts, r, r * c, rest, walk)
+                below, weight = _pair_sums(
+                    rest, r + 1, below_share, parts + ((r, r * c),), child, walk
+                )
+            else:
+                settled = _pair_close(live, bases, parts, r, r * c, rest, walk)
+                below = weight = below_share // rest if rest else below_share
+            total += settled * below
+            weights += weight
+    return total, weights
+
+
 def _exact_average(total: int, n: int, k: int) -> int:
     # total / n!, which must be an integer: a remainder refutes the sum.
     count, remainder = divmod(total, math.factorial(n))
@@ -297,7 +453,8 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     raises. The cycle types are never built one by one: a single
     depth-first walk over the partitions of n carries n!/z and the
     part-by-part fold down the tree, so neighbouring types share every
-    part they have in common, and returns each subtree's sum. The gcd
+    part they have in common, and returns each subtree's sum. k = 2 takes
+    the binary walk, every other k the general one. The gcd
     variant instead sums fixed_point_count(j, k, variant) over
     enumerate_cycle_types(n), one cycle type at a time. Either way the
     weights n!/z_j must sum to n! exactly, which also catches a single
@@ -312,6 +469,8 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
             weight = cycle_type_count(j)
             total += fixed_point_count(j, k, variant) * weight
             weights += weight
+    elif n and k == 2:
+        total, weights = _pair_sums(n, 1, factorial, (), {}, _walk_tables(n, k))
     elif n:
         # F_2..F_k start empty: no m-tuple with m >= 2 exists before a part.
         fold = [{} for _ in range(2, k + 1)]

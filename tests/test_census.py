@@ -63,60 +63,104 @@ def test_fixed_point_count_empty_set():
         assert fixed_point_count(empty, k, VARIANT_HARRISON) == 1
 
 
+def _leaf_type(path):
+    counts = [0] * sum(s for _, s in path)
+    for r, s in path:
+        counts[r - 1] = s // r
+    return CycleType(len(counts), tuple(counts))
+
+
 def test_every_walk_leaf_matches_its_cycle_type(monkeypatch):
-    # Every leaf and every node of the census walk, against the cycle types
-    # the leaves spell. Each _join's settled product is recorded under its
-    # parts, which name the edge. At a leaf, the product of the settles on
-    # its path is checked against fixed_point_count, the literal product
-    # over all tuples of cycle lengths. A node's subtree holds exactly the
-    # leaves reached during its call: its weights must be the sum of their
-    # cycle_type_count, and its total the sum over them of the settles
-    # below the node times that weight. n = 0 has no node and no edge.
-    # Every cycle type of n is reached exactly once.
+    # Every leaf and every node of both census walks, against the cycle
+    # types the leaves spell: the general walk (_join, _subtree_sums) and,
+    # at k = 2, the binary walk (_pair_join, _pair_close, _pair_sums). Each
+    # edge's settled product is recorded under its parts, which name the
+    # edge. A binary close that also joins the last part (rest, rest) is
+    # one edge: its child is never entered, so the path's second-to-last
+    # prefix names no edge, and that child must have been its only
+    # completion (rest in (r, 2r + 1]). At a leaf, the product of the
+    # settles on its path is checked against fixed_point_count, the literal
+    # product over all tuples of cycle lengths. A node's subtree holds
+    # exactly the leaves reached during its call: its weights must be the
+    # sum of their cycle_type_count, and its total the sum over them of the
+    # settles below the node times that weight. n = 0 has no node and no
+    # edge. Every cycle type of n is reached exactly once.
     join, node = census._join, census._subtree_sums
-    settled, leaves = {}, []
+    pair_join, pair_close, pair_node = (
+        census._pair_join, census._pair_close, census._pair_sums
+    )
+    settled, leaves, fused = {}, [], set()
 
     def recorded(fold, parts, rest, walk):
         out = join(fold, parts, rest, walk)
         settled[parts] = out[1]
         if rest == 0:
-            counts = [0] * sum(s for _, s in parts)
-            for r, s in parts:
-                counts[r - 1] = s // r
-            leaves.append((parts, CycleType(len(counts), tuple(counts))))
+            leaves.append((parts, _leaf_type(parts)))
         return out
 
-    def checked(remaining, low, share, parts, fold, walk):
-        start = len(leaves)
-        total, weights = node(remaining, low, share, parts, fold, walk)
-        below = leaves[start:]
-        assert below, parts
-        expected_total = expected_weights = 0
-        for path, j in below:
-            weight = arith.cycle_type_count(j)
-            expected_weights += weight
-            expected_total += weight * math.prod(
-                settled[path[:i]] for i in range(len(parts) + 1, len(path) + 1)
-            )
-        assert weights == expected_weights, (parts, remaining)
-        assert total == expected_total, (parts, remaining)
-        return total, weights
+    def pair_recorded(live, bases, parts, r, s, rest, walk):
+        assert rest > 2 * r + 1, (parts, r, rest)
+        out = pair_join(live, bases, parts, r, s, rest, walk)
+        settled[parts + ((r, s),)] = out[1]
+        return out
+
+    def pair_closed(live, bases, parts, r, s, rest, walk):
+        product = pair_close(live, bases, parts, r, s, rest, walk)
+        path = parts + ((r, s),)
+        if rest:
+            assert r < rest <= 2 * r + 1, (parts, r, rest)
+            path += ((rest, rest),)
+            fused.add(path)
+        settled[path] = product
+        leaves.append((path, _leaf_type(path)))
+        return product
+
+    def edges(path, depth):
+        # The edges from the node at depth `depth` down to the leaf `path`.
+        skipped = len(path) - 1 if path in fused else None
+        return [path[:i] for i in range(depth + 1, len(path) + 1) if i != skipped]
+
+    def checker(walk_node):
+        def checked(remaining, low, share, parts, fold, walk):
+            start = len(leaves)
+            total, weights = walk_node(remaining, low, share, parts, fold, walk)
+            below = leaves[start:]
+            assert below, parts
+            expected_total = expected_weights = 0
+            for path, j in below:
+                weight = arith.cycle_type_count(j)
+                expected_weights += weight
+                expected_total += weight * math.prod(
+                    settled[e] for e in edges(path, len(parts))
+                )
+            assert weights == expected_weights, (parts, remaining)
+            assert total == expected_total, (parts, remaining)
+            return total, weights
+
+        return checked
 
     monkeypatch.setattr(census, "_join", recorded)
-    monkeypatch.setattr(census, "_subtree_sums", checked)
+    monkeypatch.setattr(census, "_subtree_sums", checker(node))
+    monkeypatch.setattr(census, "_pair_join", pair_recorded)
+    monkeypatch.setattr(census, "_pair_close", pair_closed)
+    monkeypatch.setattr(census, "_pair_sums", checker(pair_node))
     shapes = [(n, k) for n in range(0, 11) for k in range(0, 5)]
     for n, k in shapes + [(20, 2), (12, 3)]:
         settled.clear()
         leaves.clear()
+        fused.clear()
         count = count_k_magmas(n, k).count
         if n == 0:
             assert not leaves and count == fixed_point_count(CycleType(0, ()), k)
             continue
         for path, j in leaves:
-            fpc = math.prod(settled[path[:i]] for i in range(1, len(path) + 1))
+            fpc = math.prod(settled[e] for e in edges(path, 0))
             assert fpc == fixed_point_count(j, k), f"n={n} k={k} j={j.j}"
         reached = [j for _, j in leaves]
         assert sorted(reached) == sorted(enumerate_cycle_types(n)), (n, k)
+        # Only the binary walk closes two parts in one edge, and it does
+        # from n = 3 on, where (1, 1) + (2, 2) is a leaf.
+        assert bool(fused) == (k == 2 and n >= 3), (n, k)
 
 
 def test_fixed_point_count_harrison_matches_induced_monomial():
@@ -280,84 +324,146 @@ def _literal_fold(parts, k):
     return fold
 
 
-def test_join_keeps_exactly_the_keys_a_later_part_can_touch(monkeypatch):
-    # Every edge of every walk: a key of F_k stays live exactly when some
-    # later part t in (r, rest] divides its length, and carries its weight
-    # in F'_k. The fold holds F_2..F_k only; F_0 = {1: 1} and F_1 = {p: s_p}
-    # are built here from the parts before the edge. The edge settles the
-    # keys it is answerable for, those carried in or that r divides, and
-    # that do not stay live: its product is recomputed from F'_k built over
-    # the k-tuples of the grown parts, each such key raised to
+def _check_edge(before, parts, rest, k, live, product):
+    # One inner or leaf edge against the literal fold. parts ends with the
+    # part (r, s) that joins; before holds F_0..F_k over the parts before
+    # it, F_0 = {1: 1} and F_1 = {p: s_p} built from the parts. A key of
+    # F_k stays live exactly when some later part t in (r, rest] divides
+    # its length, and carries its weight in F'_k. The edge settles the keys
+    # it is answerable for, those carried in or that r divides, and that do
+    # not stay live: its product is recomputed from F'_k built over the
+    # k-tuples of the grown parts, each such key raised to
     # b_L ** (F'_k[L] / L), b_L the sum of s over the parts (p, s) with
     # p | L. At k <= 1 nothing is stored, so no key is live, an inner edge
-    # settles nothing and the leaf settles every key.
-    join = census._join
-    edges = []
+    # settles nothing and the leaf settles every key. Returns (keys kept
+    # live, keys settled early) of the edge.
+    r = parts[-1][0]
+    grown = set(before[k]) | {
+        math.lcm(length, r) for i in range(k) for length in before[i]
+    }
+    assert live.keys() <= grown
+    for length in grown:
+        assert (length in live) == (
+            k >= 2 and _divides_later_part(length, r, rest)
+        ), (parts, rest, length)
+    full = _literal_fold(parts, k)
+    assert all(full[length] == v for length, v in live.items()), parts
+    if k >= 2:
+        answerable = {
+            length for length in full if length in before[k] or length % r == 0
+        }
+    else:
+        answerable = set() if rest else set(full)
+    expected = 1
+    for length in answerable - live.keys():
+        base = sum(s for p, s in parts if length % p == 0)
+        expected *= base ** (full[length] // length)
+    assert product == expected, (parts, rest)
+    return len(live), len(grown) - len(live)
+
+
+def test_join_keeps_exactly_the_keys_a_later_part_can_touch(monkeypatch):
+    # Every edge of every general walk (_join), and every inner edge of
+    # the binary walk (_pair_join), which serves k = 2, checked by
+    # _check_edge. The general fold holds F_2..F_k only; the binary one
+    # is F_2 alone, over the live keys.
+    join, pair_join = census._join, census._pair_join
+    edges, pair_edges = [], []
 
     def checked(fold, parts, rest, walk):
         k = walk.k
-        r = parts[-1][0]
-        before = [{1: 1}, dict(parts[:-1]), *fold]
-        grown = set(before[k]) | {
-            math.lcm(length, r) for i in range(k) for length in before[i]
-        }
         out, product = join(fold, parts, rest, walk)
-        live = out[-1] if out else {}
-        assert live.keys() <= grown
-        for length in grown:
-            assert (length in live) == (
-                k >= 2 and _divides_later_part(length, r, rest)
-            ), (parts, rest, length)
-        full = _literal_fold(parts, k)
-        assert all(full[length] == v for length, v in live.items()), parts
-        if k >= 2:
-            answerable = {
-                length for length in full if length in before[k] or length % r == 0
-            }
-        else:
-            answerable = set() if rest else set(full)
-        expected = 1
-        for length in answerable - live.keys():
-            base = sum(s for p, s in parts if length % p == 0)
-            expected *= base ** (full[length] // length)
-        assert product == expected, (parts, rest)
+        before = [{1: 1}, dict(parts[:-1]), *fold]
+        kept = _check_edge(before, parts, rest, k, out[-1] if out else {}, product)
         if rest and k >= 2:
-            edges.append((len(live), len(grown) - len(live)))
+            edges.append(kept)
         return out, product
 
+    def pair_checked(live, bases, parts, r, s, rest, walk):
+        child, product = pair_join(live, bases, parts, r, s, rest, walk)
+        before = [{1: 1}, dict(parts), live]
+        pair_edges.append(
+            _check_edge(before, parts + ((r, s),), rest, 2, child, product)
+        )
+        return child, product
+
     monkeypatch.setattr(census, "_join", checked)
+    monkeypatch.setattr(census, "_pair_join", pair_checked)
     for n, k in ((20, 2), (14, 3), (8, 3), (9, 4), (8, 0), (12, 1)):
         assert count_k_magmas(n, k).count == count_via_cycle_index(n, k).count
-    # Inner edges both keep keys live and settle them early.
+    # Inner edges of both walks both keep keys live and settle them early.
     assert all(map(sum, zip(*edges)))
+    assert all(map(sum, zip(*pair_edges)))
+
+
+def test_binary_walk_matches_the_general_walk_forced_at_arity_two():
+    # k = 2 takes _pair_sums; _subtree_sums is the general walk, run here
+    # at k = 2 with F_2 as its only carried map. Both the sum and the
+    # weights must agree exactly.
+    for n in range(1, 31):
+        walk = census._walk_tables(n, 2)
+        share = math.factorial(n)
+        binary = census._pair_sums(n, 1, share, (), {}, walk)
+        assert binary == census._subtree_sums(n, 1, share, (), [{}], walk), n
+        assert binary[1] == share
 
 
 def test_walk_builds_no_cycle_type(monkeypatch):
-    expected = count_via_cycle_index(12, 3).count
+    # Both walks: the general one at (12, 3), the binary one at (20, 2).
+    # enumerate_cycle_types builds its vectors without CycleType.__new__,
+    # so the walks may not call it either.
+    shapes = ((12, 3), (20, 2))
+    expected = [count_via_cycle_index(n, k).count for n, k in shapes]
 
-    def refuse(cls, n, j):
-        raise AssertionError(f"CycleType built: {j}")
+    def refuse(*args):
+        raise AssertionError(f"cycle type built: {args}")
 
     monkeypatch.setattr(arith.CycleType, "__new__", refuse)
-    assert count_k_magmas(12, 3).count == expected
+    monkeypatch.setattr(census, "enumerate_cycle_types", refuse)
+    assert [count_k_magmas(n, k).count for n, k in shapes] == expected
 
 
-@pytest.mark.parametrize("fault", ["lost", "repeated"])
-def test_weight_sum_check_catches_a_wrong_walk(monkeypatch, fault):
-    # The first node with a single leaf below it (only the part r =
-    # remaining completes) passes that leaf no share, or twice its share.
-    node = census._subtree_sums
+def _inject_share_fault(monkeypatch, name, fault, first):
+    # The first node of census.<name> that `first` picks passes its leaves
+    # no share, or twice their share.
+    node = getattr(census, name)
     injected = []
 
     def faulty(remaining, low, share, *rest):
-        if not injected and low > remaining // 2:
+        if not injected and first(remaining, low, rest[0]):
             injected.append(remaining)
             share = 0 if fault == "lost" else 2 * share
         return node(remaining, low, share, *rest)
 
-    monkeypatch.setattr(census, "_subtree_sums", faulty)
+    monkeypatch.setattr(census, name, faulty)
+    return injected
+
+
+@pytest.mark.parametrize("fault", ["lost", "repeated"])
+def test_weight_sum_check_catches_a_wrong_walk(monkeypatch, fault):
+    # The binary walk, which serves k = 2: its first node below the root.
+    # No node it enters has a single leaf below it, since such a child is
+    # closed by its parent's edge.
+    injected = _inject_share_fault(
+        monkeypatch, "_pair_sums", fault, lambda remaining, low, parts: parts
+    )
     with pytest.raises(ArithmeticError, match="weights"):
         count_k_magmas(6, 2)
+    assert injected
+
+
+@pytest.mark.parametrize("fault", ["lost", "repeated"])
+def test_weight_sum_check_catches_a_wrong_general_walk(monkeypatch, fault):
+    # The general walk: the first node with a single leaf below it (only
+    # the part r = remaining completes).
+    injected = _inject_share_fault(
+        monkeypatch,
+        "_subtree_sums",
+        fault,
+        lambda remaining, low, parts: low > remaining // 2,
+    )
+    with pytest.raises(ArithmeticError, match="weights"):
+        count_k_magmas(6, 3)
     assert injected
 
 
