@@ -23,14 +23,15 @@ count_k_magmas walks the partitions of n depth first in multiplicity form,
 carrying F_2..F_k and n!/z of the parts so far (z_j = prod_i i^{j_i} j_i!)
 down the tree, so neighbouring cycle types share the work for the parts
 they share. A key L of F_k carries only its weight: b_L depends on the
-parts alone. Parts join in ascending size, so every later part t lies in
-(r, rest], rest being what is left of n, and can touch only the keys it
-divides. A key with no divisor in that range is settled: it reads b_L off
-the parts, its power b_L^(F_k[L] / L) goes into its edge's settled
-product, and the key is retired from F_k. A leaf builds only F'_k and
-settles every key of it inline, one bigint power each. At k <= 1 nothing
-is carried at all: the leaf reads F_k off the parts. The lcm of two part
-sizes comes from a table built once per walk.
+parts alone, so each node reads it off its parts once per key (_Bases),
+and an edge adding (r, s) reuses it as b_L + s [r | L]. Parts join in
+ascending size, so every later part t lies in (r, rest], rest being what
+is left of n, and can touch only the keys it divides. A key with no
+divisor in that range is settled: its power b_L^(F_k[L] / L) goes into
+its edge's settled product, and the key is retired from F_k. An edge that
+ends its path builds only F'_k and settles every key of it. At k <= 1
+nothing is carried at all: the leaf reads F_k off the parts. The lcm of
+two part sizes comes from a table built once per walk.
 Each node returns its subtree sum S = sum over its edges of settled(edge)
 * S(child), with S(leaf) = n!/z_j, so by distributivity the root gets
 sum_j fpc(j) * n!/z_j and no product is carried down the tree. That is
@@ -38,17 +39,19 @@ divided by n! once, after checking that the weights n!/z_j sum to n!
 exactly, which a single missed or repeated cycle type cannot pass. It runs
 serially in the calling process.
 
-Which walk serves which arity: k = 2, the magma, takes a binary walk of
-its own (_pair_sums, with the edges _pair_join and _pair_close), and
-every other k takes the general walk above (_subtree_sums, whose edge
-_join has no other caller). At k = 2 the fold is the single map F_2, and
-an edge adds 2 s sum_p s_p [lcm(p, r)] + s^2 [r] to it in one pass. Each
-node reads the base of a key off its parts once, and an edge reuses it
-as b_L + s [r | L]. A child whose rest is at most 2r + 1 has one
-completion only, the single part rest, so it is never entered: its
-parent's edge joins both parts and settles every key. A leaf edge builds
-no F'_2: each pair of parts settles its own term at its lcm. The tests
-hold the binary walk to the general one forced at k = 2.
+Which walk serves which arity: one recursion, _subtree_sums, walks the
+tree for every k, with the partition loops, the n!/z shares, the weight
+sum and each node's _Bases. What an edge does is the walk's: join enters
+the child, close ends the path, and _walk_tables picks the pair from k.
+Only parts larger than r follow a part r, so a rest in (r, 2r + 1] has
+one completion, the single part rest: every walk closes that child in its
+parent's edge, which joins both parts, and never enters it. k = 2, the
+magma, takes the binary edges, _pair_join and _pair_close. Its fold is
+the single map F_2, and a join adds 2 s sum_p s_p [lcm(p, r)] + s^2 [r]
+to it in one pass; a close builds no F'_2: each pair of parts settles its
+own term at its lcm. Every other k takes the general edges, _join and
+_close, which is two _joins with no node between them. The tests hold the
+binary edges to the general ones forced at k = 2.
 
 fixed_point_count(j, k, variant) is the per-type count the other two
 routes read: the literal product over all |support(j)|^k ordered tuples
@@ -150,45 +153,64 @@ class _Keys(dict):
 
 
 # What every edge of one walk looks up, built once per walk: the arity k,
-# lcm[r][p] = lcm(p, r) over part sizes, and the divisor table of the keys
-# (_Keys).
-_Walk = namedtuple("_Walk", "k lcm keys")
+# lcm[r][p] = lcm(p, r) over part sizes, the divisor table of the keys
+# (_Keys), and the walk's two edges: join, which enters the child, and
+# close, which ends the path. k = 2 takes the binary edges, every other k
+# the general ones.
+_Walk = namedtuple("_Walk", "k lcm keys join close")
 
 
 def _walk_tables(n: int, k: int) -> _Walk:
     lcm = [[math.lcm(p, r) for p in range(n + 1)] for r in range(n + 1)]
-    return _Walk(k, lcm, _Keys(n))
+    edges = (_pair_join, _pair_close) if k == 2 else (_join, _close)
+    return _Walk(k, lcm, _Keys(n), *edges)
+
+
+class _Bases(dict):
+    """Tuple-cycle length L -> b_L over one node's parts: the sum of s over
+    the parts (p, s) with p | L. Read off the parts once per key and node.
+    """
+
+    def __init__(self, parts: tuple):
+        super().__init__()
+        self.parts = parts
+
+    def __missing__(self, length: int) -> int:
+        base = 0
+        for p, t in self.parts:
+            if length % p == 0:
+                base += t
+        self[length] = base
+        return base
 
 
 def _join(
-    fold: list[dict], parts: tuple, rest: int, walk: _Walk
+    fold: list, bases: _Bases, parts: tuple, r: int, s: int, rest: int, walk: _Walk
 ) -> tuple[list[dict], int]:
-    """One edge of the walk: the part parts[-1] = (r, s), s = r * j_r, joins.
+    """An edge of the general walk: (r, s), s = r * j_r, joins parts.
 
-    fold is F_2..F_k. F_0 = {1: 1} and F_1 = {p: s_p} are fixed by the
-    parts and never stored. An m-tuple over the grown support puts r at
-    some a of its m places, C(m, a) ways, and the other m - a places form
-    a tuple over the old support, so for m >= 2
+    fold is the node's F_2..F_k, bases its _Bases. F_0 = {1: 1} and
+    F_1 = {p: s_p} are fixed by the parts and never stored. An m-tuple
+    over the grown support puts r at some a of its m places, C(m, a) ways,
+    and the other m - a places form a tuple over the old support, so for
+    m >= 2
     F'_m = F_m + sum_{a=1..m-2} C(m, a) s^a (F_{m-a} with L -> lcm(L, r))
-                + m s^(m-1) sum_{earlier (p, s_p)} s_p [lcm(p, r)] + s^m [r],
+                + m s^(m-1) sum_p s_p [lcm(p, r)] + s^m [r],
     each source entry rekeyed as it is added, the part sizes through the
-    walk's lcm table. rest is what is left of n; a leaf (rest = 0) needs
-    only F'_k.
+    walk's lcm table. rest is what is left of n; a leaf edge (rest = 0)
+    needs only F'_k.
 
-    A key that no later part can touch (see _Keys) is settled: it reads
-    its base b_L, the sum of s' over the parts (r', s') with r' | L, off
-    the parts, b_L ** (F'_k[L] / L) goes into the product, and the key
-    leaves F'_k. A leaf is an edge with no later part, so it settles every
-    key of F'_k. At k <= 1 nothing is stored: inner edges pass through,
-    and the leaf reads F_k off the parts. Returns (F'_2..F'_k, product);
-    at a leaf only the product means anything.
+    A key that no later part in (r, rest] can touch (see _Keys) is
+    settled: b_L ** (F'_k[L] / L) goes into the product, with the base
+    b_L = bases[L] + s [r | L] over the grown parts, and the key leaves
+    F'_k. A leaf edge has no later part, so it settles every key of F'_k.
+    At k <= 1 nothing is stored: inner edges pass through, and a leaf edge
+    reads F_k off the grown parts. Returns (F'_2..F'_k, product); at a
+    leaf edge only the product means anything.
     """
-    k, lcm_of, keys = walk
-    r, s = parts[-1]
+    k, row, keys = walk.k, walk.lcm[r], walk.keys
     if k >= 2:
         lcm = math.lcm
-        row = lcm_of[r]
-        earlier = parts[:-1]
         out = []
         for m in range(2 if rest else k, k + 1):
             acc = fold[m - 2].copy()
@@ -202,7 +224,7 @@ def _join(
                     acc[length] = get(length, 0) + coeff * v
             # a = m - 1 takes F_1 = {p: s_p}, a = m takes F_0 = {1: 1}.
             coeff = m * power * s
-            for p, t in earlier:
+            for p, t in parts:
                 length = row[p]
                 acc[length] = get(length, 0) + coeff * t
             acc[r] = get(r, 0) + power * s * s
@@ -212,23 +234,36 @@ def _join(
         # k <= 1 carries nothing, so an inner edge has nothing to update.
         return fold, 1
     else:
-        top = dict(parts) if k else {1: 1}
+        top = {**dict(parts), r: s} if k else {1: 1}
     product = 1
     live: dict = {}
     for length, v in top.items():
-        # At a leaf (rest = 0) no later part exists, so every key settles.
         if rest and keys[length][r] <= rest:
             live[length] = v
+        elif length % r:
+            product *= bases[length] ** (v // length)
         else:
-            base = 0
-            for p, t in parts:
-                if length % p == 0:
-                    base += t
-            product *= base ** (v // length)
+            product *= (bases[length] + s) ** (v // length)
     if not rest:
         return [], product
     out[-1] = live
     return out, product
+
+
+def _close(
+    fold: list, bases: _Bases, parts: tuple, r: int, s: int, rest: int, walk: _Walk
+) -> int:
+    """A closing edge of the general walk: (r, s) joins parts and ends the
+    path. rest = 0 ends it at (r, s). Otherwise rest lies in (r, 2r + 1],
+    where the single part (rest, rest) is the only completion: a second
+    _join settles it at rest = 0, with no node between the two. Returns
+    the settled product of both.
+    """
+    if not rest:
+        return _join(fold, bases, parts, r, s, 0, walk)[1]
+    child, settled = _join(fold, bases, parts, r, s, rest, walk)
+    grown = parts + ((r, s),)
+    return settled * _join(child, _Bases(grown), grown, rest, rest, 0, walk)[1]
 
 
 def fixed_point_count(j: CycleType, k: int, variant: str = VARIANT_CORRECT) -> int:
@@ -255,56 +290,6 @@ def fixed_point_count(j: CycleType, k: int, variant: str = VARIANT_CORRECT) -> i
         weighted_divisor_sum(j, length) ** e
         for length, e in induced_exponents(j, k, variant).items()
     )
-
-
-def _subtree_sums(
-    remaining: int, low: int, share: int, parts: tuple, fold: list, walk: _Walk
-) -> tuple[int, int]:
-    # (sum of fpc * n!/z_j, sum of n!/z_j) over the cycle types j below a
-    # node, fpc counted from this node down. Depth first over partitions in
-    # multiplicity form: parts join in ascending size r, with a count c >= 1,
-    # and only larger parts follow, so a remainder in (0, r] cannot complete
-    # and is never entered. share is n!/z of the parts so far; the edge
-    # adding (r, c) divides it by r^c c!, appends (r, r*c) to the parts and
-    # is one _join, whose settled product scales the sum below it.
-    total = weights = 0
-    # Past remaining // 2 only the single part r = remaining completes.
-    for r in [*range(low, remaining // 2 + 1), remaining]:
-        below_share = share
-        for c in range(1, remaining // r + 1):
-            below_share //= r * c
-            rest = remaining - r * c
-            if 0 < rest <= r:
-                continue
-            grown = parts + ((r, r * c),)
-            child, settled = _join(fold, grown, rest, walk)
-            if rest:
-                below, weight = _subtree_sums(
-                    rest, r + 1, below_share, grown, child, walk
-                )
-            else:
-                below = weight = below_share
-            total += settled * below
-            weights += weight
-    return total, weights
-
-
-class _Bases(dict):
-    """Tuple-cycle length L -> b_L over one node's parts: the sum of s over
-    the parts (p, s) with p | L. Read off the parts once per key and node.
-    """
-
-    def __init__(self, parts: tuple):
-        super().__init__()
-        self.parts = parts
-
-    def __missing__(self, length: int) -> int:
-        base = 0
-        for p, t in self.parts:
-            if length % p == 0:
-                base += t
-        self[length] = base
-        return base
 
 
 def _pair_join(
@@ -402,18 +387,21 @@ def _pair_close(
     return product
 
 
-def _pair_sums(
-    remaining: int, low: int, share: int, parts: tuple, live: dict, walk: _Walk
+def _subtree_sums(
+    remaining: int, low: int, share: int, parts: tuple, fold, walk: _Walk
 ) -> tuple[int, int]:
-    # _subtree_sums at k = 2, where the fold is F_2 over the live keys. The
-    # node's _Bases reads each key's base off its parts once, and every
-    # edge below the node reuses it. Only parts larger than r follow, so
-    # a rest in (r, 2r + 1] has one completion, the single part rest: that
-    # child is closed by its parent's edge instead of entered, and its
-    # weight is n!/z of both parts, the last one, (rest, 1), dividing the
-    # share by rest.
+    # (sum of fpc * n!/z_j, sum of n!/z_j) over the cycle types j below a
+    # node, fpc counted from this node down. Parts join in ascending size r
+    # with a count c >= 1, so a rest in (0, r] cannot complete, and a rest in
+    # (r, 2r + 1] only as the single part rest: the walk's close ends that
+    # path in this edge, as at rest = 0, its weight divided by rest for the
+    # part (rest, 1). Every other child is entered through the walk's join.
+    # share is n!/z of the parts so far; the edge adding (r, c) divides it
+    # by r^c c!.
     bases = _Bases(parts)
+    join, close = walk.join, walk.close
     total = weights = 0
+    # Past remaining // 2 only the single part r = remaining completes.
     for r in [*range(low, remaining // 2 + 1), remaining]:
         below_share = share
         for c in range(1, remaining // r + 1):
@@ -422,12 +410,12 @@ def _pair_sums(
             if 0 < rest <= r:
                 continue
             if rest > 2 * r + 1:
-                child, settled = _pair_join(live, bases, parts, r, r * c, rest, walk)
-                below, weight = _pair_sums(
+                child, settled = join(fold, bases, parts, r, r * c, rest, walk)
+                below, weight = _subtree_sums(
                     rest, r + 1, below_share, parts + ((r, r * c),), child, walk
                 )
             else:
-                settled = _pair_close(live, bases, parts, r, r * c, rest, walk)
+                settled = close(fold, bases, parts, r, r * c, rest, walk)
                 below = weight = below_share // rest if rest else below_share
             total += settled * below
             weights += weight
@@ -453,9 +441,11 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     raises. The cycle types are never built one by one: a single
     depth-first walk over the partitions of n carries n!/z and the
     part-by-part fold down the tree, so neighbouring types share every
-    part they have in common, and returns each subtree's sum. k = 2 takes
-    the binary walk, every other k the general one. The gcd
-    variant instead sums fixed_point_count(j, k, variant) over
+    part they have in common, and returns each subtree's sum. That walk is
+    one recursion for every k with two edge sets, the binary edges at
+    k = 2 and the general ones elsewhere, and under either a child with a
+    single completion is closed in its parent's edge, never entered. The
+    gcd variant instead sums fixed_point_count(j, k, variant) over
     enumerate_cycle_types(n), one cycle type at a time. Either way the
     weights n!/z_j must sum to n! exactly, which also catches a single
     type visited twice or missed; anything else raises. Serial and in a
@@ -469,11 +459,10 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
             weight = cycle_type_count(j)
             total += fixed_point_count(j, k, variant) * weight
             weights += weight
-    elif n and k == 2:
-        total, weights = _pair_sums(n, 1, factorial, (), {}, _walk_tables(n, k))
     elif n:
-        # F_2..F_k start empty: no m-tuple with m >= 2 exists before a part.
-        fold = [{} for _ in range(2, k + 1)]
+        # The fold starts empty: no m-tuple with m >= 2 exists before a part.
+        # The binary edges carry the map F_2, the general ones F_2..F_k.
+        fold = {} if k == 2 else [{} for _ in range(2, k + 1)]
         total, weights = _subtree_sums(n, 1, factorial, (), fold, _walk_tables(n, k))
     else:
         # The empty table for k >= 1; no constant at all for k = 0.
