@@ -469,11 +469,9 @@ def test_walk_builds_no_cycle_type(monkeypatch):
     assert [count_k_magmas(n, k).count for n, k in shapes] == expected
 
 
-@pytest.mark.parametrize("fault", ["lost", "repeated"])
-def test_weight_sum_check_catches_a_wrong_walk(monkeypatch, fault):
+def _inject_share_fault(monkeypatch, fault):
     # The driver's first node below the root passes its leaves no share,
-    # or twice their share, under both edge sets: the binary at (6, 2) and
-    # the general at (6, 3).
+    # or twice their share.
     node = census._subtree_sums
     injected = []
 
@@ -484,11 +482,27 @@ def test_weight_sum_check_catches_a_wrong_walk(monkeypatch, fault):
         return node(remaining, low, share, parts, fold, walk)
 
     monkeypatch.setattr(census, "_subtree_sums", faulty)
-    for n, k in ((6, 2), (6, 3)):
-        injected.clear()
-        with pytest.raises(ArithmeticError, match="weights"):
-            count_k_magmas(n, k)
-        assert injected, (n, k)
+    return injected
+
+
+@pytest.mark.parametrize("fault", ["lost", "repeated"])
+def test_weight_sum_check_catches_a_wrong_walk(monkeypatch, fault):
+    # The binary edges, which serve k = 2.
+    injected = _inject_share_fault(monkeypatch, fault)
+    with pytest.raises(ArithmeticError, match="weights"):
+        count_k_magmas(6, 2)
+    assert injected
+
+
+@pytest.mark.parametrize("fault", ["lost", "repeated"])
+def test_weight_sum_check_catches_a_wrong_general_walk(monkeypatch, fault):
+    # The general edges. Like the binary ones, they close a child with a
+    # single completion in its parent's edge, so the fault goes into the
+    # first node the driver enters, not into a single-leaf node.
+    injected = _inject_share_fault(monkeypatch, fault)
+    with pytest.raises(ArithmeticError, match="weights"):
+        count_k_magmas(6, 3)
+    assert injected
 
 
 def test_cycle_index_route_harrison():
