@@ -41,17 +41,16 @@ serially in the calling process.
 
 Which walk serves which arity: one recursion, _subtree_sums, walks the
 tree for every k, with the partition loops, the n!/z shares, the weight
-sum and each node's _Bases. What an edge does is the walk's: join enters
-the child, close ends the path, and _walk_tables picks the pair from k.
-Only parts larger than r follow a part r, so a rest in (r, 2r + 1] has
-one completion, the single part rest: every walk closes that child in its
-parent's edge, which joins both parts, and never enters it. k = 2, the
-magma, takes the binary edges, _pair_join and _pair_close. Its fold is
-the single map F_2, and a join adds 2 s sum_p s_p [lcm(p, r)] + s^2 [r]
-to it in one pass; a close builds no F'_2: each pair of parts settles its
-own term at its lcm. Every other k takes the general edges, _join and
+sum and each node's _Bases, and the fold is the list F_2..F_k at every k.
+There is one join edge, _join, which enters a child, and two closes,
+which end a path; _walk_tables picks the close from k. Only parts larger
+than r follow a part r, so a rest in (r, 2r + 1] has one completion, the
+single part rest: every walk closes that child in its parent's edge,
+which joins both parts, and never enters it. k = 2, the magma, takes the
+binary close, _pair_close, which builds no F'_2: each pair of parts
+settles its own term at its lcm. Every other k takes the general close,
 _close, which is two _joins with no node between them. The tests hold the
-binary edges to the general ones forced at k = 2.
+binary close to the general one forced at k = 2.
 
 fixed_point_count(j, k, variant) is the per-type count the other two
 routes read: the literal product over all |support(j)|^k ordered tuples
@@ -154,16 +153,15 @@ class _Keys(dict):
 
 # What every edge of one walk looks up, built once per walk: the arity k,
 # lcm[r][p] = lcm(p, r) over part sizes, the divisor table of the keys
-# (_Keys), and the walk's two edges: join, which enters the child, and
-# close, which ends the path. k = 2 takes the binary edges, every other k
-# the general ones.
-_Walk = namedtuple("_Walk", "k lcm keys join close")
+# (_Keys), and the walk's close, the edge that ends a path: the binary
+# _pair_close at k = 2, the general _close at every other k. Every walk
+# enters its children through _join.
+_Walk = namedtuple("_Walk", "k lcm keys close")
 
 
 def _walk_tables(n: int, k: int) -> _Walk:
     lcm = [[math.lcm(p, r) for p in range(n + 1)] for r in range(n + 1)]
-    edges = (_pair_join, _pair_close) if k == 2 else (_join, _close)
-    return _Walk(k, lcm, _Keys(n), *edges)
+    return _Walk(k, lcm, _Keys(n), _pair_close if k == 2 else _close)
 
 
 class _Bases(dict):
@@ -187,7 +185,7 @@ class _Bases(dict):
 def _join(
     fold: list, bases: _Bases, parts: tuple, r: int, s: int, rest: int, walk: _Walk
 ) -> tuple[list[dict], int]:
-    """An edge of the general walk: (r, s), s = r * j_r, joins parts.
+    """The join edge of every walk: (r, s), s = r * j_r, joins parts.
 
     fold is the node's F_2..F_k, bases its _Bases. F_0 = {1: 1} and
     F_1 = {p: s_p} are fixed by the parts and never stored. An m-tuple
@@ -197,13 +195,16 @@ def _join(
     F'_m = F_m + sum_{a=1..m-2} C(m, a) s^a (F_{m-a} with L -> lcm(L, r))
                 + m s^(m-1) sum_p s_p [lcm(p, r)] + s^m [r],
     each source entry rekeyed as it is added, the part sizes through the
-    walk's lcm table. rest is what is left of n; a leaf edge (rest = 0)
+    walk's lcm table. At k = 2 that is one pass,
+    F'_2 = F_2 + 2s sum_p s_p [lcm(p, r)] + s^2 [r]. rest is what is left
+    of n; a leaf edge (rest = 0), which only the general _close takes,
     needs only F'_k.
 
     A key that no later part in (r, rest] can touch (see _Keys) is
     settled: b_L ** (F'_k[L] / L) goes into the product, with the base
     b_L = bases[L] + s [r | L] over the grown parts, and the key leaves
-    F'_k. A leaf edge has no later part, so it settles every key of F'_k.
+    F'_k. A leaf edge (rest = 0) has no later part, and a[r] > r > rest,
+    so it settles every key of F'_k.
     At k <= 1 nothing is stored: inner edges pass through, and a leaf edge
     reads F_k off the grown parts. Returns (F'_2..F'_k, product); at a
     leaf edge only the product means anything.
@@ -238,7 +239,7 @@ def _join(
     product = 1
     live: dict = {}
     for length, v in top.items():
-        if rest and keys[length][r] <= rest:
+        if keys[length][r] <= rest:
             live[length] = v
         elif length % r:
             product *= bases[length] ** (v // length)
@@ -292,55 +293,27 @@ def fixed_point_count(j: CycleType, k: int, variant: str = VARIANT_CORRECT) -> i
     )
 
 
-def _pair_join(
-    live: dict, bases: _Bases, parts: tuple, r: int, s: int, rest: int, walk: _Walk
-) -> tuple[dict, int]:
-    """An inner edge of the k = 2 walk: (r, s), s = r * j_r, joins parts.
-
-    live is the node's F_2 over its live keys, bases the node's _Bases,
-    and rest > 2r + 1 is left to the child. In one pass,
-    F'_2 = F_2 + 2s sum_p s_p [lcm(p, r)] + s^2 [r]. A key of F'_2 that no
-    later part in (r, rest] divides settles with base bases[L] + s [r | L].
-    Returns (F'_2 over the keys that stay live, settled product).
-    """
-    acc = live.copy()
-    get = acc.get
-    row = walk.lcm[r]
-    twice = 2 * s
-    for p, t in parts:
-        length = row[p]
-        acc[length] = get(length, 0) + twice * t
-    acc[r] = get(r, 0) + s * s
-    keys = walk.keys
-    child = {}
-    product = 1
-    for length, v in acc.items():
-        if keys[length][r] <= rest:
-            child[length] = v
-        elif length % r:
-            product *= bases[length] ** (v // length)
-        else:
-            product *= (bases[length] + s) ** (v // length)
-    return child, product
-
-
 def _pair_close(
-    live: dict, bases: _Bases, parts: tuple, r: int, s: int, rest: int, walk: _Walk
+    fold: list, bases: _Bases, parts: tuple, r: int, s: int, rest: int, walk: _Walk
 ) -> int:
-    """A leaf edge of the k = 2 walk: (r, s) joins parts and ends the path.
+    """The closing edge of the k = 2 walk: (r, s) joins parts and ends the
+    path, with the same arguments as _close.
 
-    rest = 0 ends it at (r, s). Otherwise rest lies in (r, 2r + 1], where
-    the single part (rest, rest) is the only completion, and this edge
-    joins it too. No key outlives a leaf, so F'_2 is never built: each
-    pair of parts settles its own term, b_L ** (w / L) for the weight w it
-    adds at L = lcm, where b_L, the base over the leaf's parts, is
+    fold is [F_2] over the node's live keys. rest = 0 ends the path at
+    (r, s). Otherwise rest lies in (r, 2r + 1], where the single part
+    (rest, rest) is the only completion, and this edge joins it too. No
+    key outlives a leaf, so unlike _close it builds no F'_2 and calls no
+    _join: each live key settles over the grown parts, and each pair of
+    parts settles its own term, b_L ** (w / L) for the weight w it adds at
+    L = lcm, where b_L, the base over the leaf's parts, is
     bases[L] + s [r | L] + rest [rest | L]. Terms at one L share their
     base, so the product is the same as over merged keys. A pair (p, r)
     with p | r lands on L = r, so those merge into one term; likewise at
-    rest. Returns the settled product.
+    rest. Sending the rest row through _join and a pair leaf instead ran
+    k = 2 markedly slower. Returns the settled product.
     """
     product = 1
-    for length, v in live.items():
+    for length, v in fold[0].items():
         base = bases[length]
         if length % r == 0:
             base += s
@@ -395,11 +368,11 @@ def _subtree_sums(
     # with a count c >= 1, so a rest in (0, r] cannot complete, and a rest in
     # (r, 2r + 1] only as the single part rest: the walk's close ends that
     # path in this edge, as at rest = 0, its weight divided by rest for the
-    # part (rest, 1). Every other child is entered through the walk's join.
+    # part (rest, 1). Every other child is entered through _join.
     # share is n!/z of the parts so far; the edge adding (r, c) divides it
     # by r^c c!.
     bases = _Bases(parts)
-    join, close = walk.join, walk.close
+    close = walk.close
     total = weights = 0
     # Past remaining // 2 only the single part r = remaining completes.
     for r in [*range(low, remaining // 2 + 1), remaining]:
@@ -410,7 +383,7 @@ def _subtree_sums(
             if 0 < rest <= r:
                 continue
             if rest > 2 * r + 1:
-                child, settled = join(fold, bases, parts, r, r * c, rest, walk)
+                child, settled = _join(fold, bases, parts, r, r * c, rest, walk)
                 below, weight = _subtree_sums(
                     rest, r + 1, below_share, parts + ((r, r * c),), child, walk
                 )
@@ -442,11 +415,11 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     depth-first walk over the partitions of n carries n!/z and the
     part-by-part fold down the tree, so neighbouring types share every
     part they have in common, and returns each subtree's sum. That walk is
-    one recursion for every k with two edge sets, the binary edges at
-    k = 2 and the general ones elsewhere, and under either a child with a
-    single completion is closed in its parent's edge, never entered. The
-    gcd variant instead sums fixed_point_count(j, k, variant) over
-    enumerate_cycle_types(n), one cycle type at a time. Either way the
+    one recursion for every k with one join edge and two closes, the
+    binary close at k = 2 and the general one elsewhere, and under either
+    a child with a single completion is closed in its parent's edge, never
+    entered. The gcd variant instead sums fixed_point_count(j, k, variant)
+    over enumerate_cycle_types(n), one cycle type at a time. Either way the
     weights n!/z_j must sum to n! exactly, which also catches a single
     type visited twice or missed; anything else raises. Serial and in a
     fixed order, so the result is the same bit for bit on every run.
@@ -460,9 +433,9 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
             total += fixed_point_count(j, k, variant) * weight
             weights += weight
     elif n:
-        # The fold starts empty: no m-tuple with m >= 2 exists before a part.
-        # The binary edges carry the map F_2, the general ones F_2..F_k.
-        fold = {} if k == 2 else [{} for _ in range(2, k + 1)]
+        # The fold F_2..F_k starts empty, [{}] at k = 2 and [] at k <= 1: no
+        # m-tuple with m >= 2 exists before a part.
+        fold = [{} for _ in range(2, k + 1)]
         total, weights = _subtree_sums(n, 1, factorial, (), fold, _walk_tables(n, k))
     else:
         # The empty table for k >= 1; no constant at all for k = 0.

@@ -70,33 +70,49 @@ def _leaf_type(path):
     return CycleType(len(counts), tuple(counts))
 
 
-def _with_edge_sets(shapes):
-    # (edge set, n, k) for every shape: the general edges at each shape,
-    # k = 2 included, and the binary edges at the shapes with k = 2, the
-    # only arity they serve.
+def _with_closes(shapes):
+    # (close, n, k) for every shape: the general close at each shape, k = 2
+    # included, and the binary close at the shapes with k = 2, the only
+    # arity it serves.
     binary = [("binary", n, k) for n, k in shapes if k == 2]
     return binary + [("general", n, k) for n, k in shapes]
 
 
-def _walk_sums(n, k, edges, wrap_join, wrap_close):
-    # The driver's (total, weights) at (n, k) over the named edge set, its
-    # join and close wrapped. _walk_tables picks the binary edges at k = 2;
-    # "general" swaps the general ones in there too.
+def _walk_sums(n, k, close, wrap_join, wrap_close):
+    # The driver's (total, weights) at (n, k) under the named close, its
+    # join edges and its closes wrapped. _walk_tables picks the binary
+    # close at k = 2; "general" swaps the general one in there too. The
+    # general close joins through _join as well, but those joins belong to
+    # its one edge, so only the driver's own joins reach wrap_join.
     walk = census._walk_tables(n, k)
-    if edges == "general":
-        walk = walk._replace(join=census._join, close=census._close)
-        fold = [{} for _ in range(2, k + 1)]
+    if close == "general":
+        walk = walk._replace(close=census._close)
     else:
-        assert k == 2 and walk.join is census._pair_join, k
-        fold = {}
-    walk = walk._replace(join=wrap_join(walk.join), close=wrap_close(walk.close))
-    return census._subtree_sums(n, 1, math.factorial(n), (), fold, walk)
+        assert k == 2 and walk.close is census._pair_close, k
+    join = census._join
+    wrapped_join, wrapped_close = wrap_join(join), wrap_close(walk.close)
+    closing = []
+
+    def driver_join(*args):
+        return (join if closing else wrapped_join)(*args)
+
+    def closing_edge(*args):
+        closing.append(True)
+        product = wrapped_close(*args)
+        closing.pop()
+        return product
+
+    fold = [{} for _ in range(2, k + 1)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "_join", driver_join)
+        walk = walk._replace(close=closing_edge)
+        return census._subtree_sums(n, 1, math.factorial(n), (), fold, walk)
 
 
 def test_every_walk_leaf_matches_its_cycle_type(monkeypatch):
-    # Every leaf and every node of the census walk, under both edge sets,
-    # against the cycle types the leaves spell. The driver's join and
-    # close are wrapped, and each edge's settled product is recorded under
+    # Every leaf and every node of the census walk, under both closes,
+    # against the cycle types the leaves spell. The driver's joins and
+    # closes are wrapped, and each edge's settled product is recorded under
     # its parts, which name the edge. A close that also joins the last
     # part (rest, rest) is one edge: its child is never entered, so the
     # path's second-to-last prefix names no edge, and that child must have
@@ -157,7 +173,7 @@ def test_every_walk_leaf_matches_its_cycle_type(monkeypatch):
 
     monkeypatch.setattr(census, "_subtree_sums", checked)
     shapes = [(n, k) for n in range(0, 11) for k in range(0, 5)]
-    for edge_set, n, k in _with_edge_sets(shapes + [(20, 2), (12, 3)]):
+    for close, n, k in _with_closes(shapes + [(20, 2), (12, 3)]):
         settled.clear()
         leaves.clear()
         fused.clear()
@@ -165,16 +181,16 @@ def test_every_walk_leaf_matches_its_cycle_type(monkeypatch):
             count = count_k_magmas(n, k).count
             assert not leaves and count == fixed_point_count(CycleType(0, ()), k)
             continue
-        _, weights = _walk_sums(n, k, edge_set, recorded, closed)
-        assert weights == math.factorial(n), (edge_set, n, k)
+        _, weights = _walk_sums(n, k, close, recorded, closed)
+        assert weights == math.factorial(n), (close, n, k)
         for path, j in leaves:
             fpc = math.prod(settled[e] for e in edges(path, 0))
-            assert fpc == fixed_point_count(j, k), f"{edge_set} n={n} k={k} j={j.j}"
+            assert fpc == fixed_point_count(j, k), f"{close} n={n} k={k} j={j.j}"
         reached = [j for _, j in leaves]
         assert sorted(reached) == sorted(enumerate_cycle_types(n)), (n, k)
-        # Both edge sets close two parts in one edge at every k, from n = 3
-        # on, where (1, 1) + (2, 2) is a leaf.
-        assert bool(fused) == (n >= 3), (edge_set, n, k)
+        # Both closes join two parts in one edge at every k, from n = 3 on,
+        # where (1, 1) + (2, 2) is a leaf.
+        assert bool(fused) == (n >= 3), (close, n, k)
 
 
 def test_fixed_point_count_harrison_matches_induced_monomial():
@@ -324,6 +340,19 @@ def test_closed_form_grid_matches_reference_digests():
         assert hashlib.sha256(stdout.encode()).hexdigest() == expected, point
 
 
+def test_big_counts_match_reference_digests():
+    # The benchmark's digests of `count --n N --k K --format json` stdout,
+    # made through count_via_cycle_index: the general walk at k = 3..5,
+    # past the cycle-index checks' reach, up to 268k digits.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    digests = json.loads(path.read_text())["big-counts"]
+    assert len(digests) == 28
+    for point, expected in digests.items():
+        n, k = map(int, point.split(","))
+        stdout = json.dumps(cli._count_record(count_k_magmas(n, k))) + "\n"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == expected, point
+
+
 def _divides_later_part(length, r, rest):
     return any(length % t == 0 for t in range(r + 1, rest + 1))
 
@@ -396,26 +425,23 @@ def _check_close(before, path, joined, k, product):
 
 
 def test_join_keeps_exactly_the_keys_a_later_part_can_touch():
-    # Every edge of the census walk, under both edge sets: each join
-    # checked by _check_edge, each close by _check_close. The general fold
-    # holds F_2..F_k; the binary one is F_2 alone, over the live keys.
-    kept = {"binary": [], "general": []}
-
-    def edge_set(fold):
-        return "binary" if isinstance(fold, dict) else "general"
+    # Every edge of the census walk, under both closes: each join checked
+    # by _check_edge, each close by _check_close. The fold holds F_2..F_k
+    # over the live keys.
+    kept = []
 
     def carried(fold, parts):
         # F_0..F_k over parts, F_0 and F_1 built from the parts.
-        return [{1: 1}, dict(parts), *([fold] if isinstance(fold, dict) else fold)]
+        return [{1: 1}, dict(parts), *fold]
 
     def checked(join):
         def checking(fold, bases, parts, r, s, rest, walk):
             child, product = join(fold, bases, parts, r, s, rest, walk)
             before, k = carried(fold, parts), walk.k
-            live = child if isinstance(child, dict) else (child or [{}])[-1]
+            live = (child or [{}])[-1]
             edge = _check_edge(before, parts + ((r, s),), rest, k, live, product)
             if k >= 2:
-                kept[edge_set(fold)].append(edge)
+                kept.append(edge)
             return child, product
 
         return checking
@@ -431,31 +457,30 @@ def test_join_keeps_exactly_the_keys_a_later_part_can_touch():
         return closing
 
     shapes = ((20, 2), (14, 3), (8, 3), (9, 4), (8, 0), (12, 1))
-    for edges, n, k in _with_edge_sets(shapes):
-        total, weights = _walk_sums(n, k, edges, checked, closed)
+    for close, n, k in _with_closes(shapes):
+        total, weights = _walk_sums(n, k, close, checked, closed)
         factorial = math.factorial(n)
-        assert weights == factorial, (edges, n, k)
-        assert total == count_via_cycle_index(n, k).count * factorial, (edges, n, k)
-    # Join edges of both edge sets both keep keys live and settle them early.
-    assert all(map(sum, zip(*kept["binary"])))
-    assert all(map(sum, zip(*kept["general"])))
+        assert weights == factorial, (close, n, k)
+        assert total == count_via_cycle_index(n, k).count * factorial, (close, n, k)
+    # Join edges both keep keys live and settle them early.
+    assert all(map(sum, zip(*kept)))
 
 
 def test_binary_walk_matches_the_general_walk_forced_at_arity_two():
-    # k = 2 takes the binary edges; the general edges are swapped in here,
-    # with F_2 as their only carried map. One driver runs both, and the
-    # sum and the weights must agree exactly.
+    # k = 2 takes the binary close; the general close is swapped in here.
+    # One driver and one join run both, and the sum and the weights must
+    # agree exactly.
     for n in range(1, 31):
         walk = census._walk_tables(n, 2)
         share = math.factorial(n)
-        binary = census._subtree_sums(n, 1, share, (), {}, walk)
-        general = walk._replace(join=census._join, close=census._close)
+        binary = census._subtree_sums(n, 1, share, (), [{}], walk)
+        general = walk._replace(close=census._close)
         assert binary == census._subtree_sums(n, 1, share, (), [{}], general), n
         assert binary[1] == share
 
 
 def test_walk_builds_no_cycle_type(monkeypatch):
-    # Both edge sets: the general one at (12, 3), the binary one at (20, 2).
+    # Both closes: the general one at (12, 3), the binary one at (20, 2).
     # enumerate_cycle_types builds its vectors without CycleType.__new__,
     # so the walk may not call it either.
     shapes = ((12, 3), (20, 2))
@@ -487,7 +512,7 @@ def _inject_share_fault(monkeypatch, fault):
 
 @pytest.mark.parametrize("fault", ["lost", "repeated"])
 def test_weight_sum_check_catches_a_wrong_walk(monkeypatch, fault):
-    # The binary edges, which serve k = 2.
+    # The binary close, which serves k = 2.
     injected = _inject_share_fault(monkeypatch, fault)
     with pytest.raises(ArithmeticError, match="weights"):
         count_k_magmas(6, 2)
@@ -496,9 +521,9 @@ def test_weight_sum_check_catches_a_wrong_walk(monkeypatch, fault):
 
 @pytest.mark.parametrize("fault", ["lost", "repeated"])
 def test_weight_sum_check_catches_a_wrong_general_walk(monkeypatch, fault):
-    # The general edges. Like the binary ones, they close a child with a
-    # single completion in its parent's edge, so the fault goes into the
-    # first node the driver enters, not into a single-leaf node.
+    # The general close. Like the binary one, it ends a child with a single
+    # completion in its parent's edge, so the fault goes into the first
+    # node the driver enters, not into a single-leaf node.
     injected = _inject_share_fault(monkeypatch, fault)
     with pytest.raises(ArithmeticError, match="weights"):
         count_k_magmas(6, 3)
