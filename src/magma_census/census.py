@@ -309,8 +309,9 @@ def _pair_close(
     bases[L] + s [r | L] + rest [rest | L]. Terms at one L share their
     base, so the product is the same as over merged keys. A pair (p, r)
     with p | r lands on L = r, so those merge into one term; likewise at
-    rest. Sending the rest row through _join and a pair leaf instead ran
-    k = 2 markedly slower. Returns the settled product.
+    rest. The rest row pairs rest with every earlier part, (r, s) the last
+    of them, by one rule. Sending the rest row through _join and a pair
+    leaf instead ran k = 2 markedly slower. Returns the settled product.
     """
     product = 1
     for length, v in fold[0].items():
@@ -336,12 +337,12 @@ def _pair_close(
     # rest never divides r < rest. b_r = at_r + s, w_r = 2 s at_r + s^2.
     product *= (at_r + s) ** (s * (2 * at_r + s) // r)
     if rest:
-        # (p, rest) adds 2 rest t at lcm(p, rest) for each part, (r, s)
-        # among them; (rest, rest) adds rest^2 at rest.
+        # (p, rest) adds 2 rest t at lcm(p, rest) for each earlier part
+        # (p, t), (r, s) the last of them; (rest, rest) adds rest^2 at rest.
         row = walk.lcm[rest]
         twice = 2 * rest
         at_rest = 0
-        for p, t in parts:
+        for p, t in parts + ((r, s),):
             if rest % p == 0:
                 at_rest += t
                 continue
@@ -350,11 +351,6 @@ def _pair_close(
             if length % r == 0:
                 base += s
             product *= base ** (twice * t // length)
-        if rest % r:
-            length = row[r]
-            product *= (bases[length] + s + rest) ** (twice * s // length)
-        else:
-            at_rest += s
         # b_rest = at_rest + rest, w_rest = 2 rest at_rest + rest^2.
         product *= (at_rest + rest) ** (2 * at_rest + rest)
     return product

@@ -28,7 +28,7 @@ from magma_census import (
 )
 from magma_census import arith, census, cli
 
-from witnesses import fixed_tables_enumerated
+from witnesses import count_residues, fixed_tables_enumerated
 
 
 def test_weighted_divisor_sum_skips_large_divisors():
@@ -351,6 +351,31 @@ def test_big_counts_match_reference_digests():
         n, k = map(int, point.split(","))
         stdout = json.dumps(cli._count_record(count_k_magmas(n, k))) + "\n"
         assert hashlib.sha256(stdout.encode()).hexdigest() == expected, point
+
+
+_RESIDUE_PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7)
+
+
+@pytest.mark.parametrize("n, k", [(16, 5), (10, 6)])
+def test_high_arity_counts_match_literal_residues(n, k):
+    # Past the reference digests, which stop at (12, 5), and past the
+    # cycle-index route: the literal census sum, reduced modulo primes.
+    count = count_k_magmas(n, k).count
+    expected = count_residues(n, k, _RESIDUE_PRIMES)
+    assert [count % p for p in _RESIDUE_PRIMES] == expected
+
+
+def test_residue_witness_matches_exact_counts():
+    # The witness against counts the other routes confirm, degenerate
+    # shapes included, and its refusal of a prime that n! shares.
+    for n in range(0, 7):
+        for k in range(0, 4):
+            count = count_k_magmas(n, k).count
+            assert count_residues(n, k, (7, 11, 2**31 - 1)) == [
+                count % p for p in (7, 11, 2**31 - 1)
+            ], (n, k)
+    with pytest.raises(ValueError):
+        count_residues(7, 2, (7,))
 
 
 def _divides_later_part(length, r, rest):

@@ -9,7 +9,8 @@ Each function here is the definition written straight: materialized tables,
 relabeling by act, canonical forms by trying every permutation, and
 automorphism and orbit-stabilizer checks. The package runs none of them;
 the tests hold the oracle's orbit count and structural fixed-table count
-against them.
+against them. count_residues is the census sum itself, written straight
+and reduced modulo primes, for counts too large for any other route.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import math
 from collections import namedtuple
 from typing import Iterator, Sequence
 
-from magma_census.arith import Perm, all_perms
+from magma_census.arith import Perm, all_perms, induced_exponents
+from magma_census.census import weighted_divisor_sum
+from magma_census.cycle_index import direct_counts
 from magma_census.oracle import _check_table_cap, cell_permutation
 
 
@@ -142,3 +145,38 @@ def orbit_stabilizer_check(t: OpTable) -> bool:
     """|orbit| * |stabilizer| == n! for this table."""
     orbit, stab = orbit_and_stabilizer_sizes(t)
     return orbit * stab == math.factorial(t.n)
+
+
+def count_residues(n: int, k: int, primes: Sequence[int]) -> list[int]:
+    """count_k_magmas(n, k).count modulo each prime p > n, in order.
+
+    The literal route: every cycle type j of n with its count n!/z_j
+    (direct_counts), its induced cycle structure over the k-tuples
+    (induced_exponents) and each tuple-cycle length's divisor sum, raised
+    with pow(b, e, p), summed and multiplied by the inverse of n! mod p,
+    which exists because p > n. It shares nothing with the census walk:
+    no fold, no settle step, no final divmod.
+
+    A fingerprint, not a proof. A wrong count passes only if its error is
+    a multiple of every prime given: with 2^61 - 1, 2^31 - 1 and 10^9 + 7,
+    about 2^-120 for an error that behaves like a random one (Knuth,
+    TAOCP vol. 2, 4.3.2), but an error built from those primes passes.
+    """
+    for p in primes:
+        if p <= n:
+            raise ValueError(f"prime {p} must exceed n = {n}")
+    terms = [
+        (weight, [(weighted_divisor_sum(j, length), e)
+                  for length, e in induced_exponents(j, k).items()])
+        for j, weight in direct_counts(n)
+    ]
+    residues = []
+    for p in primes:
+        total = 0
+        for weight, powers in terms:
+            term = weight % p
+            for base, e in powers:
+                term = term * pow(base, e, p) % p
+            total += term
+        residues.append(total * pow(math.factorial(n), -1, p) % p)
+    return residues
