@@ -229,8 +229,11 @@ class Perm(namedtuple("Perm", "images")):
 
 def all_perms(n: int) -> Iterator[Perm]:
     """All permutations of {0..n-1} in lexicographic image order."""
+    # itertools.permutations yields only bijections, so Perm.__new__'s check
+    # is skipped.
+    make = tuple.__new__
     for images in itertools.permutations(range(n)):
-        yield Perm(images)
+        yield make(Perm, (images,))
 
 
 def cycle_counts(images: tuple[int, ...]) -> tuple[int, ...]:

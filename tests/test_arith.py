@@ -143,6 +143,15 @@ def test_all_perms_is_lexicographic():
     assert len(list(all_perms(0))) == 1
 
 
+def test_all_perms_are_the_bijections_perm_accepts():
+    # all_perms skips Perm's bijection check; each one must still be a Perm
+    # that passes it, and together they must be all n! of them.
+    for n in range(0, 6):
+        ps = list(all_perms(n))
+        assert all(type(p) is Perm and Perm(p.images) == p for p in ps)
+        assert len(set(ps)) == len(ps) == math.factorial(n)
+
+
 def test_apply_tuple():
     p = Perm((1, 2, 0))
     assert apply_tuple(p, (0, 2)) == (1, 0)

@@ -15,7 +15,12 @@ from magma_census import (
     enumerate_cycle_types,
 )
 from magma_census import oracle
-from magma_census.oracle import _rejecting_reach, _relabel_groups, _relabel_maps
+from magma_census.oracle import (
+    _cell_order,
+    _rejecting_reach,
+    _relabel_groups,
+    _relabel_maps,
+)
 
 from conftest import random_fixed_table, random_perm, random_table
 from witnesses import (
@@ -141,26 +146,90 @@ def test_orbit_count_equals_canonical_form_census():
         assert len(forms) == count_orbits_bruteforce(n, k)
 
 
+def _tables_in_order(n, k, order):
+    # Every table, in lexicographic order of its entries read at the cells
+    # of order: yields (read, table), read being the entries in that order.
+    for read in itertools.product(range(n), repeat=n**k):
+        entries = [0] * n**k
+        for c, e in zip(order, read):
+            entries[c] = e
+        yield read, OpTable(n, k, tuple(entries))
+
+
+def test_cell_order_puts_each_orbit_of_cells_together():
+    # The cells sorted by the equality pattern of their coordinates, then
+    # by number; each pattern's cells are exactly one orbit under S_n.
+    for n, k in [(1, 3), (2, 1), (2, 4), (3, 2), (3, 3), (4, 0), (4, 3)]:
+        order = _cell_order(n, k)
+
+        def pattern(c):
+            coords = decode_cell(n, k, c)
+            return tuple(coords.index(x) for x in coords)
+
+        assert order == sorted(range(n**k), key=lambda c: (pattern(c), c)), (n, k)
+        for c in range(n**k):
+            orbit = {encode_cell(n, k, apply_tuple(p, decode_cell(n, k, c)))
+                     for p in all_perms(n)}
+            assert orbit == {d for d in range(n**k) if pattern(d) == pattern(c)}, (n, k, c)
+
+
 def test_grouped_canonicity_test_matches_canonical_form():
-    # Table by table, in lexicographic order: the grouped test passes
-    # exactly the tables that are their own canonical form, and the block a
-    # rejection lets the walk skip (every table sharing entries[:reach + 1],
-    # an aligned run of n^(cells - reach - 1) tables) holds no canonical one.
+    # Table by table, in lexicographic order of the entries read in the
+    # oracle's cell order: the grouped test passes exactly the tables that
+    # are least in that order, and the block its verdict covers (every
+    # table sharing the first reach + 1 entries read, an aligned run of
+    # n^(cells - reach - 1) tables) holds no least table when it rejects
+    # and only least tables when it accepts.
     # (4, 0) and (1, 2) take the one-cell grouping, which keeps no tie lists.
     for n, k in [(2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 0), (1, 2)]:
         groups = _relabel_groups(n, k)
-        tables = list(all_tables(n, k))
-        canonical = [canonical_form(t) == t for t in tables]
-        canonical_before = list(itertools.accumulate(canonical, initial=0))
+        order = _cell_order(n, k)
+        tables = list(_tables_in_order(n, k, order))
+        least = [canonical_form(t, order) == t for _, t in tables]
+        least_before = list(itertools.accumulate(least, initial=0))
         cells = n**k
-        for index, t in enumerate(tables):
-            reach = _rejecting_reach(list(t.entries), groups)
-            assert (reach is None) == canonical[index], (n, k, t.entries)
-            if reach is not None:
-                block = n ** (cells - reach - 1)
-                start = index - index % block
-                skipped = canonical_before[start + block] - canonical_before[start]
-                assert skipped == 0, (n, k, t.entries, reach)
+        for index, (read, t) in enumerate(tables):
+            verdict, reach = _rejecting_reach(list(read), groups)
+            assert verdict == least[index], (n, k, t.entries)
+            block = n ** (cells - reach - 1)
+            start = index - index % block
+            inside = least_before[start + block] - least_before[start]
+            assert inside == (block if verdict else 0), (n, k, t.entries, reach)
+
+
+def test_accepted_blocks_start_at_the_tested_table(monkeypatch):
+    # The walk counts n^(last - reach) tables for each accepted test, which
+    # is exact only if every entry after reach is still 0 there.
+    real = oracle._rejecting_reach
+
+    def checked(entries, groups):
+        verdict, reach = real(entries, groups)
+        if verdict:
+            assert not any(entries[reach + 1:]), (entries, reach)
+        return verdict, reach
+
+    monkeypatch.setattr(oracle, "_rejecting_reach", checked)
+    pinned = {(2, 2): 10, (2, 3): 136, (2, 4): 32896, (3, 1): 7, (3, 2): 3330,
+              (4, 1): 19, (5, 1): 47, (6, 1): 130}
+    for (n, k), count in pinned.items():
+        assert count_orbits_bruteforce(n, k) == count, (n, k)
+
+
+def test_accepted_blocks_spare_most_tests_at_2_4(monkeypatch):
+    # With the swap its only relabeling, (2, 4) once tested all 65,536
+    # tables one by one; accepted blocks and the orbit-ordered cells bring
+    # that to 766 tests.
+    real = oracle._rejecting_reach
+    calls = 0
+
+    def counted(entries, groups):
+        nonlocal calls
+        calls += 1
+        return real(entries, groups)
+
+    monkeypatch.setattr(oracle, "_rejecting_reach", counted)
+    assert count_orbits_bruteforce(2, 4) == 32896
+    assert calls <= 1024, calls
 
 
 def test_one_cell_least_images_are_full_minima():
@@ -168,7 +237,7 @@ def test_one_cell_least_images_are_full_minima():
     # least image of each value over every non-identity relabeling.
     for n in range(2, 8):
         relabelings = list(itertools.permutations(range(n)))[1:]
-        [(c0, least, _)] = _relabel_groups(n, 0)
+        [(c0, _, least, _)] = _relabel_groups(n, 0)
         assert c0 == 0
         assert least == [min(images[v] for images in relabelings) for v in range(n)], n
 
@@ -194,24 +263,28 @@ def test_orbit_count_degenerate():
 
 def test_relabel_maps_match_the_definition():
     # Each map is checked against the action written out coordinate by
-    # coordinate, not against the helper that builds it.
+    # coordinate, not against the helper that builds it, with cells read
+    # at their positions in the oracle's cell order.
     for n, k in [(2, 1), (2, 3), (3, 2), (4, 1), (4, 2), (5, 1)]:
         perms = [p for p in all_perms(n) if p != Perm.identity(n)]
         maps = _relabel_maps(n, k)
+        order = _cell_order(n, k)
+        position = {c: i for i, c in enumerate(order)}
         assert [pimg for pimg, _, _ in maps] == [p.images for p in perms]
         cells = range(n**k)
-        for p, (_, ic, reach) in zip(perms, maps):
+        for p, (_, src, reach) in zip(perms, maps):
             q = p.inverse()
-            assert list(ic) == [
-                encode_cell(n, k, apply_tuple(q, decode_cell(n, k, c))) for c in cells
+            assert list(src) == [
+                position[encode_cell(n, k, apply_tuple(q, decode_cell(n, k, c)))]
+                for c in order
             ]
             assert cell_permutation(p, k).images == tuple(
                 encode_cell(n, k, apply_tuple(p, decode_cell(n, k, c))) for c in cells
             )
             running = 0
-            for c in cells:
-                running = max(running, c, ic[c])
-                assert reach[c] == running
+            for i in cells:
+                running = max(running, i, src[i])
+                assert reach[i] == running
 
 
 def test_orbit_count_cap(monkeypatch):

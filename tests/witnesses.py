@@ -91,21 +91,28 @@ def all_tables(n: int, k: int) -> Iterator[OpTable]:
         yield OpTable(n, k, entries)
 
 
-def canonical_form(t: OpTable) -> OpTable:
-    """Lexicographically least entry array over all relabelings of t.
+def canonical_form(t: OpTable, order: Sequence[int] | None = None) -> OpTable:
+    """Least relabeling of t, entries compared in the given order of cells.
 
     The definition, written straight: act with every permutation and keep
-    the minimum. count_orbits_bruteforce never calls this; it tests
-    canonicity cell by cell instead and skips each block of tables that a
-    rejection already decides, and the tests confirm both views agree by
-    rebuilding orbit counts from canonical-form sets.
+    the table whose entries, read at the cells of order one by one, are
+    lexicographically least; by default the cells are read by number.
+    count_orbits_bruteforce never calls this; it tests canonicity in its
+    own cell order, skipping or counting each block of tables one verdict
+    decides, and the tests hold its verdicts to this one given that order
+    and rebuild orbit counts from canonical-form sets.
     """
-    best = t.entries
+    cells = range(len(t.entries)) if order is None else order
+
+    def read(table):
+        return [table.entries[c] for c in cells]
+
+    best = t
     for p in all_perms(t.n):
-        candidate = act(p, t).entries
-        if candidate < best:
+        candidate = act(p, t)
+        if read(candidate) < read(best):
             best = candidate
-    return OpTable(t.n, t.k, best)
+    return best
 
 
 def is_automorphism(p: Perm, t: OpTable) -> bool:
