@@ -36,8 +36,22 @@ Each node returns its subtree sum S = sum over its edges of settled(edge)
 * S(child), with S(leaf) = n!/z_j, so by distributivity the root gets
 sum_j fpc(j) * n!/z_j and no product is carried down the tree. That is
 divided by n! once, after checking that the weights n!/z_j sum to n!
-exactly, which a single missed or repeated cycle type cannot pass. It runs
-serially in the calling process.
+exactly, which a single missed or repeated cycle type cannot pass. The
+library functions run serially in the calling process.
+
+The root's edges (r, c) head independent subtrees, each returning a
+partial sum and a partial weight sum (_root_sums takes any subset of
+them), so the CLI's count and sequence can split a walk over processes
+behind --jobs; the split module does that. A term is split when its
+estimated work reaches split.SPLIT_WORK. The estimate is the walk's
+leaves, p(n), each scaled by the size of the result, about n^k log2 n
+bits. The root edges are then dealt longest first to the least loaded
+worker, an edge's cost being the leaves below it: the partitions of what
+it leaves of n into parts > r. Children come from one bare os.fork, sum
+their edges with the same _subtree_sums, and send (sum, weight sum) back
+through a pipe. The parent adds them and runs the same weights check
+(_census_result) before the one division, so the check covers the split
+too: a root edge dropped or dealt to two workers fails it.
 
 Which walk serves which arity: one recursion, _subtree_sums, walks the
 tree for every k, with the partition loops, the n!/z shares, the weight
@@ -357,7 +371,8 @@ def _pair_close(
 
 
 def _subtree_sums(
-    remaining: int, low: int, share: int, parts: tuple, fold, walk: _Walk
+    remaining: int, low: int, share: int, parts: tuple, fold, walk: _Walk,
+    take=None,
 ) -> tuple[int, int]:
     # (sum of fpc * n!/z_j, sum of n!/z_j) over the cycle types j below a
     # node, fpc counted from this node down. Parts join in ascending size r
@@ -366,7 +381,8 @@ def _subtree_sums(
     # path in this edge, as at rest = 0, its weight divided by rest for the
     # part (rest, 1). Every other child is entered through _join.
     # share is n!/z of the parts so far; the edge adding (r, c) divides it
-    # by r^c c!.
+    # by r^c c!. take, given only at the root of a split walk, is the set of
+    # root edges (r, c) this process sums; every other edge is skipped.
     bases = _Bases(parts)
     close = walk.close
     total = weights = 0
@@ -376,7 +392,7 @@ def _subtree_sums(
         for c in range(1, remaining // r + 1):
             below_share //= r * c
             rest = remaining - r * c
-            if 0 < rest <= r:
+            if 0 < rest <= r or take is not None and (r, c) not in take:
                 continue
             if rest > 2 * r + 1:
                 child, settled = _join(fold, bases, parts, r, r * c, rest, walk)
@@ -421,7 +437,6 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
     fixed order, so the result is the same bit for bit on every run.
     """
     query = CensusQuery(n, k, variant)
-    factorial = math.factorial(n)
     if variant != VARIANT_CORRECT:
         total = weights = 0
         for j in enumerate_cycle_types(n):
@@ -429,18 +444,30 @@ def count_k_magmas(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResu
             total += fixed_point_count(j, k, variant) * weight
             weights += weight
     elif n:
-        # The fold F_2..F_k starts empty, [{}] at k = 2 and [] at k <= 1: no
-        # m-tuple with m >= 2 exists before a part.
-        fold = [{} for _ in range(2, k + 1)]
-        total, weights = _subtree_sums(n, 1, factorial, (), fold, _walk_tables(n, k))
+        total, weights = _root_sums(n, k)
     else:
         # The empty table for k >= 1; no constant at all for k = 0.
         total, weights = 1 if k else 0, 1
+    return _census_result(query, total, weights)
+
+
+def _root_sums(n: int, k: int, take=None) -> tuple[int, int]:
+    # (sum, weight sum) of the walk at n >= 1 over the root edges in take,
+    # all of them when take is None. The fold F_2..F_k starts empty, [{}]
+    # at k = 2 and [] at k <= 1: no m-tuple with m >= 2 exists before a part.
+    fold = [{} for _ in range(2, k + 1)]
+    return _subtree_sums(n, 1, math.factorial(n), (), fold, _walk_tables(n, k), take)
+
+
+def _census_result(query: CensusQuery, total: int, weights: int) -> CensusResult:
+    # The weights n!/z_j must sum to n! exactly, or a cycle type (a root
+    # edge, in a split walk) was missed or counted twice.
+    factorial = math.factorial(query.n)
     if weights != factorial:
         raise ArithmeticError(
-            f"cycle-type weights sum to {weights}, not {n}! = {factorial}"
+            f"cycle-type weights sum to {weights}, not {query.n}! = {factorial}"
         )
-    return CensusResult(query, _exact_average(total, n, k))
+    return CensusResult(query, _exact_average(total, query.n, query.k))
 
 
 def count_via_permutation_sum(n: int, k: int, variant: str = VARIANT_CORRECT) -> CensusResult:
@@ -491,9 +518,13 @@ def sequence(
     The range is checked at the call; each count is computed only as the
     returned iterator reaches it, so a caller can emit it at once.
     """
+    return (count_k_magmas(n, k, variant) for n, k in _shapes(fixed, lo, hi, vary))
+
+
+def _shapes(fixed: int, lo: int, hi: int, vary: str):
+    # The (n, k) of each term of a sequence, checked at the call.
     if vary not in ("n", "k"):
         raise ValueError(f"vary must be 'n' or 'k', got {vary!r}")
     if not (0 <= lo <= hi):
         raise ValueError(f"bad range [{lo}, {hi}]")
-    shapes = ((v, fixed) if vary == "n" else (fixed, v) for v in range(lo, hi + 1))
-    return (count_k_magmas(n, k, variant) for n, k in shapes)
+    return ((v, fixed) if vary == "n" else (fixed, v) for v in range(lo, hi + 1))

@@ -14,8 +14,8 @@ work, through its own parser's error (args.usage_error). Either way a
 usage error prints the usage of the command that was given.
 
 A count or a sequence loads only this module, census and arith; the
-oracle, the cycle index, json, decimal and random are imported by the
-command or format that uses them.
+oracle, the cycle index, the process split (at --jobs above 1), json,
+decimal and random are imported by the command or format that uses them.
 """
 
 from __future__ import annotations
@@ -140,6 +140,12 @@ def cmd_count(args) -> int:
     _refuse_nullary_gcd(args, args.k)
     if args.method == METHOD_PERMUTATION:
         result = census.count_via_permutation_sum(args.n, args.k, args.variant)
+    elif args.jobs > 1:
+        from . import split
+
+        # A count is the one term of a sequence; the list drains it, so the
+        # workers are reaped before the count prints.
+        [result] = split.sequence(args.k, args.n, args.n, args.variant, jobs=args.jobs)
     else:
         result = census.count_k_magmas(args.n, args.k, args.variant)
     if args.format == FORMAT_JSON:
@@ -164,17 +170,28 @@ def cmd_sequence(args) -> int:
         args.usage_error(f"bad range [{args.lo}, {args.hi}]")
     _refuse_nullary_gcd(args, args.lo if args.vary == "k" else args.k)
     # Plain and bfile lines go out as each count is done; JSON is one list.
-    results = census.sequence(getattr(args, fixed), args.lo, args.hi,
-                              args.variant, args.vary)
-    if args.format == FORMAT_JSON:
-        import json
+    terms = (getattr(args, fixed), args.lo, args.hi, args.variant, args.vary)
+    if args.jobs > 1:
+        from . import split
 
-        print(json.dumps([_count_record(r) for r in results]))
+        results = split.sequence(*terms, jobs=args.jobs)
+    else:
+        results = census.sequence(*terms)
+    try:
+        if args.format == FORMAT_JSON:
+            import json
+
+            print(json.dumps([_count_record(r) for r in results]))
+            return EXIT_OK
+        for index, r in enumerate(results, start=args.lo):
+            value = decimal_string(r.count)
+            print(f"{index} {value}" if args.format == FORMAT_BFILE else value,
+                  flush=True)
         return EXIT_OK
-    for index, r in zip(range(args.lo, args.hi + 1), results):
-        value = decimal_string(r.count)
-        print(f"{index} {value}" if args.format == FORMAT_BFILE else value, flush=True)
-    return EXIT_OK
+    finally:
+        # Reaps a split's workers now, killing any still at work when a
+        # line could not be written (`| head`) or anything else went wrong.
+        results.close()
 
 
 def cmd_cycle_index(args) -> int:
@@ -361,9 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, *formats):
         p.add_argument("--format", choices=formats, default=FORMAT_PLAIN)
 
-    def add_jobs(p):
-        p.add_argument("--jobs", type=positive,
-                       help="accepted and validated (>= 1); has no effect")
+    def add_jobs(p, help="accepted and validated (>= 1); has no effect here"):
+        p.add_argument("--jobs", type=positive, default=1, help=help)
+
+    split_help = ("processes to split the heavier walks over, at most the usable "
+                  "CPUs (default 1); stdout is the same at every value")
 
     p_count = add_command("count", cmd_count, "one isomorphism-class count")
     p_count.add_argument("--n", type=natural, required=True)
@@ -373,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--method", default=METHOD_PARTITION,
                          choices=(METHOD_PARTITION, METHOD_PERMUTATION))
     add_format(p_count, FORMAT_PLAIN, FORMAT_JSON)
-    add_jobs(p_count)
+    add_jobs(p_count, split_help)
 
     p_seq = add_command("sequence", cmd_sequence, "counts over a range of n (or k)")
     p_seq.add_argument("--k", type=natural, help="arity (when varying n)")
@@ -384,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--variant", choices=census.VARIANTS,
                        default=census.VARIANT_CORRECT)
     add_format(p_seq, FORMAT_PLAIN, FORMAT_JSON, FORMAT_BFILE)
-    add_jobs(p_seq)
+    add_jobs(p_seq, split_help)
 
     p_zi = add_command("cycle-index", cmd_cycle_index, "print Z_n, optionally induced")
     p_zi.add_argument("--n", type=natural, required=True)

@@ -130,8 +130,9 @@ def test_criterion_6_cross_method_agreement():
 def test_criterion_7_jobs_determinism():
     # The n=5 term has no enumerable oracle; it enters as formula output
     # backed by criteria 2 and 6, and this check pins that both --jobs
-    # values emit those exact bytes. Every command runs serially, so --jobs
-    # is accepted and validated but has no effect.
+    # values emit those exact bytes. No term here is heavy enough to split,
+    # so both run serially; tests/test_split.py holds the split terms to
+    # the same bytes at --jobs 1, 2 and 3.
     cmd = [sys.executable, "-m", "magma_census", "sequence", "--k", "2",
            "--from", "0", "--to", "5"]
     one = subprocess.run(cmd + ["--jobs", "1"], capture_output=True, text=True)

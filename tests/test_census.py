@@ -525,11 +525,11 @@ def _inject_share_fault(monkeypatch, fault):
     node = census._subtree_sums
     injected = []
 
-    def faulty(remaining, low, share, parts, fold, walk):
+    def faulty(remaining, low, share, parts, fold, walk, take=None):
         if parts and not injected:
             injected.append(remaining)
             share = 0 if fault == "lost" else 2 * share
-        return node(remaining, low, share, parts, fold, walk)
+        return node(remaining, low, share, parts, fold, walk, take)
 
     monkeypatch.setattr(census, "_subtree_sums", faulty)
     return injected

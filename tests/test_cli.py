@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from magma_census import census, cli
+from magma_census import census, cli, split
 from magma_census.census import count_via_cycle_index
 
 
@@ -361,8 +361,9 @@ def test_identical_flags_identical_bytes():
 
 
 def test_cli_import_starts_no_pool_machinery():
-    # Every command runs serially: neither importing the CLI nor running the
-    # brute-force oracle loads pool machinery, and --jobs changes no byte.
+    # Neither importing the CLI, nor running the brute-force oracle, nor a
+    # split sequence (one bare os.fork) loads pool machinery, and --jobs
+    # changes no byte.
     pools = "('concurrent.futures', 'multiprocessing')"
     code = (
         "import sys, magma_census.cli; "
@@ -387,6 +388,20 @@ def test_cli_import_starts_no_pool_machinery():
         outputs.append(r.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("burnside: PASS\n")
+    code = (
+        "import os, sys\n"
+        "from magma_census import cli\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "status = cli.entry_point(['sequence', '--k', '2', '--from', '25', '--to', "
+        "'27', '--jobs', '2'])\n"
+        f"loaded = sorted(m for m in {pools} if m in sys.modules)\n"
+        "print(status, len(forks), loaded, file=sys.stderr)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == f"0 {min(2, split._usable_cpus()) - 1} []\n"
+    assert r.stdout == "".join(f"{c.count}\n" for c in census.sequence(2, 25, 27))
 
 
 # What a count or a sequence has no use for; the interpreter's own start-up
