@@ -1,4 +1,6 @@
-from .cli import main
+import sys
+
+from .cli import entry_point
 
 if __name__ == "__main__":
-    main()
+    sys.exit(entry_point())

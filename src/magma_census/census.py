@@ -40,18 +40,11 @@ exactly, which a single missed or repeated cycle type cannot pass. The
 library functions run serially in the calling process.
 
 The root's edges (r, c) head independent subtrees, each returning a
-partial sum and a partial weight sum (_root_sums takes any subset of
-them), so the CLI's count and sequence can split a walk over processes
-behind --jobs; the split module does that. A term is split when its
-estimated work reaches split.SPLIT_WORK. The estimate is the walk's
-leaves, p(n), each scaled by the size of the result, about n^k log2 n
-bits. The root edges are then dealt longest first to the least loaded
-worker, an edge's cost being the leaves below it: the partitions of what
-it leaves of n into parts > r. Children come from one bare os.fork, sum
-their edges with the same _subtree_sums, and send (sum, weight sum) back
-through a pipe. The parent adds them and runs the same weights check
-(_census_result) before the one division, so the check covers the split
-too: a root edge dropped or dealt to two workers fails it.
+partial sum and a partial weight sum; _root_sums takes any subset of
+them. _census_result runs the weights check before the one division, so
+partial sums added up from subsets that drop or repeat a root edge fail
+it, as a missed cycle type does. The split module deals the root edges
+over processes for the CLI's --jobs.
 
 Which walk serves which arity: one recursion, _subtree_sums, walks the
 tree for every k, with the partition loops, the n!/z shares, the weight

@@ -13,9 +13,11 @@ that tie one flag to another are checked by the command before it starts
 work, through its own parser's error (args.usage_error). Either way a
 usage error prints the usage of the command that was given.
 
-A count or a sequence loads only this module, census and arith; the
-oracle, the cycle index, the process split (at --jobs above 1), json,
-decimal and random are imported by the command or format that uses them.
+A count is the one-term sequence: count and sequence reach the walk
+through one function, census.sequence, or split.sequence at --jobs above
+1. Either loads only this module, census and arith; the oracle, the cycle
+index, the process split, json, decimal and random are imported by the
+command or format that uses them.
 """
 
 from __future__ import annotations
@@ -136,18 +138,24 @@ def _refuse_nullary_gcd(args, arity: int) -> None:
         args.usage_error("--variant harrison-gcd needs arity >= 1")
 
 
+def _counts(args, fixed: int, lo: int, hi: int, vary: str = "n"):
+    # The one reader of --jobs: census.sequence, its heavier walks split
+    # over that many processes above 1.
+    if args.jobs > 1:
+        from . import split
+
+        return split.sequence(fixed, lo, hi, args.variant, vary, jobs=args.jobs)
+    return census.sequence(fixed, lo, hi, args.variant, vary)
+
+
 def cmd_count(args) -> int:
     _refuse_nullary_gcd(args, args.k)
     if args.method == METHOD_PERMUTATION:
         result = census.count_via_permutation_sum(args.n, args.k, args.variant)
-    elif args.jobs > 1:
-        from . import split
-
-        # A count is the one term of a sequence; the list drains it, so the
-        # workers are reaped before the count prints.
-        [result] = split.sequence(args.k, args.n, args.n, args.variant, jobs=args.jobs)
     else:
-        result = census.count_k_magmas(args.n, args.k, args.variant)
+        # A count is the one term of a sequence; the list drains it, so a
+        # split's workers are reaped before the count prints.
+        [result] = _counts(args, args.k, args.n, args.n)
     if args.format == FORMAT_JSON:
         import json
 
@@ -170,13 +178,7 @@ def cmd_sequence(args) -> int:
         args.usage_error(f"bad range [{args.lo}, {args.hi}]")
     _refuse_nullary_gcd(args, args.lo if args.vary == "k" else args.k)
     # Plain and bfile lines go out as each count is done; JSON is one list.
-    terms = (getattr(args, fixed), args.lo, args.hi, args.variant, args.vary)
-    if args.jobs > 1:
-        from . import split
-
-        results = split.sequence(*terms, jobs=args.jobs)
-    else:
-        results = census.sequence(*terms)
+    results = _counts(args, getattr(args, fixed), args.lo, args.hi, args.vary)
     try:
         if args.format == FORMAT_JSON:
             import json
@@ -214,18 +216,32 @@ def cmd_cycle_index(args) -> int:
 _BURNSIDE_K_MAX = 6
 
 
+def _agree(cases, routes: dict, note: str):
+    # A suite that runs every route on every case. A case whose values
+    # differ is one failure line: its label, then each route's name and
+    # value, in the order given. The note gets the number of cases at {}.
+    failures, checked = [], 0
+    for label, *case in cases:
+        checked += 1
+        values = {name: route(*case) for name, route in routes.items()}
+        if len(set(values.values())) > 1:
+            listed = ", ".join(f"{name} {value}" for name, value in values.items())
+            failures.append(f"{label}: {listed}")
+    return failures, [note.format(checked)]
+
+
+def _counted(route):
+    return lambda *case: route(*case).count
+
+
 def _suite_burnside():
     from . import oracle
 
-    failures = []
-    pairs = [(n, k) for n in range(0, 9) for k in range(0, _BURNSIDE_K_MAX + 1)
-             if oracle.within_table_cap(n, k)]
-    for n, k in pairs:
-        brute = oracle.count_orbits_bruteforce(n, k)
-        formula = census.count_k_magmas(n, k).count
-        if brute != formula:
-            failures.append(f"n={n} k={k}: bruteforce {brute}, formula {formula}")
-    return failures, [f"{len(pairs)} (n, k) pairs under the cap"]
+    pairs = ((f"n={n} k={k}", n, k) for n in range(0, 9)
+             for k in range(0, _BURNSIDE_K_MAX + 1) if oracle.within_table_cap(n, k))
+    return _agree(pairs, {"bruteforce": oracle.count_orbits_bruteforce,
+                          "formula": _counted(census.count_k_magmas)},
+                  "{} (n, k) pairs under the cap")
 
 
 def _suite_structural():
@@ -233,46 +249,32 @@ def _suite_structural():
 
     from . import oracle
 
-    rng = random.Random(DEFAULT_SEED)
-    failures = []
-    checked = 0
-    for n in range(0, 9):
-        for j in enumerate_cycle_types(n):
-            p = realize_cycle_type(j, rng)
-            for k in range(0, 4):
-                structural = oracle.fixed_tables_structural(p, n, k)
-                closed = census.fixed_point_count(j, k)
-                checked += 1
-                if structural != closed:
-                    failures.append(
-                        f"n={n} k={k} j={j.j}: structural {structural}, "
-                        f"closed form {closed}"
-                    )
-    return failures, [f"{checked} (cycle type, k) pairs"]
+    def cases(rng):
+        # One realization per cycle type, drawn before its arities.
+        for n in range(0, 9):
+            for j in enumerate_cycle_types(n):
+                p = realize_cycle_type(j, rng)
+                for k in range(0, 4):
+                    yield f"n={n} k={k} j={j.j}", p, j, k
+
+    return _agree(cases(random.Random(DEFAULT_SEED)),
+                  {"structural": lambda p, j, k: oracle.fixed_tables_structural(p, j.n, k),
+                   "closed form": lambda p, j, k: census.fixed_point_count(j, k)},
+                  "{} (cycle type, k) pairs")
 
 
 def _suite_cross_method():
     # Capped at n = 6: from (7, 3) on, the gcd variant's average over S_n
     # stops being an integer at all (a quiet proof of its wrongness), so
     # there is no count for the three routes to agree on.
-    failures = []
     top = 6
-    triples = 0
-    for n in range(0, top + 1):
-        for k in range(0, 4):
-            for variant in census.VARIANTS:
-                if variant == census.VARIANT_HARRISON and k == 0:
-                    continue
-                triples += 1
-                a = census.count_k_magmas(n, k, variant).count
-                b = census.count_via_permutation_sum(n, k, variant).count
-                c = census.count_via_cycle_index(n, k, variant).count
-                if not (a == b == c):
-                    failures.append(
-                        f"n={n} k={k} variant={variant}: "
-                        f"partition {a}, permutation {b}, cycle-index {c}"
-                    )
-    return failures, [f"{triples} (n, k, variant) triples, n <= {top}"]
+    triples = ((f"n={n} k={k} variant={variant}", n, k, variant)
+               for n in range(0, top + 1) for k in range(0, 4) for variant in census.VARIANTS
+               if not (variant == census.VARIANT_HARRISON and k == 0))
+    return _agree(triples, {"partition": _counted(census.count_k_magmas),
+                            "permutation": _counted(census.count_via_permutation_sum),
+                            "cycle-index": _counted(census.count_via_cycle_index)},
+                  f"{{}} (n, k, variant) triples, n <= {top}")
 
 
 def _suite_variant():
@@ -450,7 +452,3 @@ def entry_point(argv=None) -> int:
             raise
         print(e, file=sys.stderr)
         return EXIT_VERIFY_FAILED
-
-
-def main():
-    sys.exit(entry_point())

@@ -4,10 +4,12 @@ The census walk's root edges (r, c) head independent subtrees, each
 returning a partial sum and a partial weight sum (census._root_sums). This
 module deals the root edges of every term heavy enough to pay for a fork
 over up to --jobs processes, this one and children made with one bare
-os.fork, and adds their partial sums back up. No pool, no thread, and no
-import of concurrent.futures or multiprocessing: this module is loaded
-only by a command given --jobs above 1, so a serial run compiles and
-imports nothing of it.
+os.fork when the iteration starts. Each worker sums the subtrees below
+its own edges with the serial walk, and a child sends its (sum, weight
+sum) through a pipe, in hex, one line per heavy term. No pool, no
+thread, and no import of concurrent.futures or multiprocessing: this
+module is loaded only by a command given --jobs above 1, so a serial run
+compiles and imports nothing of it.
 
 A term's cost is estimated from its input: the leaves of its walk, p(n),
 each scaled by the size of the result (about n^k log2 n bits), in units
@@ -124,28 +126,19 @@ def sequence(
     *, jobs: int,
 ) -> Iterator[census.CensusResult]:
     """census.sequence(fixed, lo, hi, variant, vary): the same results in
-    the same order, with the walks of the heavier terms split over up to
-    jobs processes.
+    the same order, with the heavier terms' walks split over J = min(jobs,
+    usable CPUs) workers.
 
-    J = min(jobs, usable CPUs) workers share the work: this process and
-    J - 1 children, made with a bare os.fork when the iterator starts.
-    The heavy terms' root edges are dealt among them (_Plan). Each worker
-    sums the subtrees below its own edges with the serial walk, and a
-    child sends its (sum, weight sum) through a pipe, in hex, term by
-    term. This process adds the partial sums and checks that the weights
-    sum to n!, so a root edge dropped or dealt twice raises as a missed
-    cycle type does, before the one division. It yields each result as
-    soon as every part of it is in, and counts the light terms whole
-    while the children start on the heavy ones.
-
-    Nothing forks when J < 2, for the gcd variant (it has no walk),
-    where os.fork is missing, or when no term reaches SPLIT_WORK: every
-    term is then count_k_magmas, as in census.sequence. A child that
-    fails ends the iteration with ChildProcessError. The children are
-    reaped when the iterator ends or is closed, and killed first if
-    results are still unread. While they live, a SIGTERM (left at its
-    default action by the caller) raises SystemExit(143) here, so it ends
-    them too. The range is checked at the call.
+    Each result is yielded as soon as every part of it is in, and the
+    light terms are counted whole here while the children start on the
+    heavy ones. When nothing would fork (J < 2, the gcd variant, which has
+    no walk, no os.fork, or no term reaching SPLIT_WORK) this returns
+    census.sequence itself. A child that fails ends the iteration with
+    ChildProcessError. The children are reaped when the iterator ends or
+    is closed, and killed first if results are still unread. While they
+    live, a SIGTERM (left at its default action by the caller) raises
+    SystemExit(143) here, so it ends them too. The range is checked at
+    the call.
     """
     shapes = census._shapes(fixed, lo, hi, vary)
     workers = min(jobs, _usable_cpus()) if hasattr(os, "fork") else 1
@@ -153,10 +146,9 @@ def sequence(
     # The scan stops at the first heavy term, so the leaf table it builds
     # goes no further than that term's n.
     if (workers < 2 or variant != census.VARIANT_CORRECT
-            or not any(plan.work(n, k) >= SPLIT_WORK
-                       for n, k in census._shapes(fixed, lo, hi, vary))):
-        return (census.count_k_magmas(n, k, variant) for n, k in shapes)
-    return _split_counts(shapes, plan)
+            or not any(plan.work(n, k) >= SPLIT_WORK for n, k in shapes)):
+        return census.sequence(fixed, lo, hi, variant, vary)
+    return _split_counts(census._shapes(fixed, lo, hi, vary), plan)
 
 
 def _split_counts(shapes, plan: _Plan) -> Iterator[census.CensusResult]:
@@ -230,7 +222,9 @@ def _worker(shapes, plan: _Plan, worker: int, write_end: int, readers: list, par
     # raising, so nothing of the parent's (a caller's finally, an atexit
     # hook, a test runner) runs twice. If the parent is gone (a SIGKILL
     # cannot be caught), the child stops at its next term, or at its next
-    # write, quietly: no one is left to read it.
+    # write, quietly: no one is left to read it. The write end is never
+    # closed here: os._exit closes it, so the parent cannot read end of file,
+    # and kill this child, while its traceback is still being printed.
     status = 1
     try:
         import signal
@@ -238,14 +232,14 @@ def _worker(shapes, plan: _Plan, worker: int, write_end: int, readers: list, par
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         for reader in readers:
             reader.close()
-        with open(write_end, "wb") as out:
-            for n, k in shapes:
-                shares = plan.deal(n, k)
-                if shares is not None:
-                    if os.getppid() != parent:
-                        break
-                    out.write(b"%x %x\n" % census._root_sums(n, k, shares[worker]))
-                    out.flush()
+        out = open(write_end, "wb")
+        for n, k in shapes:
+            shares = plan.deal(n, k)
+            if shares is not None:
+                if os.getppid() != parent:
+                    break
+                out.write(b"%x %x\n" % census._root_sums(n, k, shares[worker]))
+                out.flush()
         status = 0
     except BrokenPipeError:
         pass

@@ -356,10 +356,11 @@ def test_big_counts_match_reference_digests():
 _RESIDUE_PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7)
 
 
-@pytest.mark.parametrize("n, k", [(16, 5), (10, 6)])
+@pytest.mark.parametrize("n, k", [(16, 5), (10, 6), (6, 8), (5, 9), (4, 10), (3, 12)])
 def test_high_arity_counts_match_literal_residues(n, k):
     # Past the reference digests, which stop at (12, 5), and past the
     # cycle-index route: the literal census sum, reduced modulo primes.
+    # From k = 8 on, _join's a-loop runs at m >= 8.
     count = count_k_magmas(n, k).count
     expected = count_residues(n, k, _RESIDUE_PRIMES)
     assert [count % p for p in _RESIDUE_PRIMES] == expected

@@ -263,6 +263,33 @@ def test_verify_cycle_index_suite_reports_a_perturbed_recursion(monkeypatch, n):
     assert failures == [f"n={n}: recursive cycle index differs from direct"]
 
 
+@pytest.mark.parametrize("suite, route, at, line", [
+    ("burnside", "count_k_magmas", lambda n, k: (n, k) == (2, 2),
+     "n=2 k=2: bruteforce 10, formula 11"),
+    ("structural", "fixed_point_count", lambda j, k: (j.j, k) == ((1, 1, 0), 2),
+     "n=3 k=2 j=(1, 1, 0): structural 81, closed form 82"),
+    ("cross-method", "count_via_cycle_index",
+     lambda n, k, variant: (n, k, variant) == (3, 2, census.VARIANT_CORRECT),
+     "n=3 k=2 variant=correct: partition 3330, permutation 3330, cycle-index 3331"),
+], ids=["burnside", "structural", "cross-method"])
+def test_verify_suites_report_one_route_off_by_one(monkeypatch, suite, route, at, line):
+    # In-process: one census route reads one higher at one case, and the
+    # suite names that case, every route and its value, once.
+    original = getattr(census, route)
+
+    def perturbed(*args):
+        value = original(*args)
+        if not at(*args):
+            return value
+        if isinstance(value, int):
+            return value + 1
+        return value._replace(count=value.count + 1)
+
+    monkeypatch.setattr(census, route, perturbed)
+    failures, _ = cli._SUITE_RUNNERS[suite]()
+    assert failures == [line]
+
+
 def test_verify_cross_method_reports_its_coverage():
     # A PASS says what it covered.
     r = run_cli("verify", "--suite", "cross-method")
@@ -347,10 +374,12 @@ def test_self_refuting_variant_exit_1():
 
 
 def test_jobs_env_is_not_read():
-    env = dict(os.environ, MAGMA_CENSUS_JOBS="2")
-    r = run_cli("count", "--n", "4", "--k", "2", env=env)
-    assert r.returncode == 0
-    assert r.stdout == "178981952\n"
+    # Any value, valid as --jobs or not, leaves the run alone.
+    for value in ("2", "two", "0"):
+        env = dict(os.environ, MAGMA_CENSUS_JOBS=value)
+        r = run_cli("count", "--n", "4", "--k", "2", env=env)
+        assert r.returncode == 0, value
+        assert r.stdout == "178981952\n", value
 
 
 def test_identical_flags_identical_bytes():
@@ -602,12 +631,6 @@ def test_argument_problems_exit_2_before_work():
         r = run_cli(*args)
         assert r.returncode == 2, args
         assert r.stdout == "", args
-    # MAGMA_CENSUS_JOBS is no longer read: any value leaves the run alone.
-    for bad in ("two", "0"):
-        env = dict(os.environ, MAGMA_CENSUS_JOBS=bad)
-        r = run_cli("count", "--n", "2", "--k", "2", env=env)
-        assert r.returncode == 0, bad
-        assert r.stdout == "10\n", bad
 
 
 @pytest.mark.parametrize("args", _USAGE_ERRORS + _ARGUMENT_PROBLEMS, ids=" ".join)

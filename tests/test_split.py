@@ -155,8 +155,9 @@ def test_jobs_is_capped_at_the_usable_cpus(monkeypatch):
 
 # Runs the CLI with os.fork wrapped and two usable CPUs: the parent writes
 # each child's pid to stderr, and with FAULT set the child's walk raises.
+# At FAULT=slow the child also sleeps before it prints its traceback.
 _FORK_REPORTER = """
-import os, sys
+import os, sys, time, traceback
 from magma_census import census, cli, split
 
 split._usable_cpus = lambda: 2
@@ -170,6 +171,9 @@ def fork():
         def broken(*args):
             raise RuntimeError("injected fault")
         census._root_sums = broken
+        if os.environ["FAULT"] == "slow":
+            print_exc = traceback.print_exc
+            traceback.print_exc = lambda: time.sleep(0.3) or print_exc()
     return pid
 
 os.fork = fork
@@ -190,7 +194,16 @@ def _gone(pid):
 
 
 def test_a_failed_child_ends_the_command_with_a_traceback():
-    env = dict(os.environ, FAULT="1")
+    _assert_the_child_traceback_is_printed(dict(os.environ, FAULT="1"))
+
+
+def test_a_slow_child_traceback_is_printed_before_the_parent_reads_its_end():
+    # The child's pipe stays open until it exits, so the parent cannot read
+    # end of file, and kill the child, while the traceback is on its way.
+    _assert_the_child_traceback_is_printed(dict(os.environ, FAULT="slow"))
+
+
+def _assert_the_child_traceback_is_printed(env):
     r = subprocess.run(
         [sys.executable, "-c", _FORK_REPORTER, "sequence", "--k", "2", "--from", "24",
          "--to", "28", "--jobs", "2"],
