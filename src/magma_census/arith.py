@@ -104,30 +104,31 @@ def enumerate_cycle_types(n: int) -> Iterator[CycleType]:
     if n == 0:
         yield make(CycleType, (0, ()))
         return
-    # j[i] counts the parts of length i. Written with parts descending, the
-    # next partition raises the first part equal to the second-to-last one,
-    # x, by one, and turns every part after it into ones: the other parts
-    # equal to x and the parts below x give back their sum, less one, as
-    # ones. The last partition, (n,), has no second-to-last part.
-    j = [0] * (n + 1)
-    j[1] = n
+    # j[i] counts the parts of length i + 1, so j is the vector yielded.
+    # Written with parts descending, the next partition raises the first
+    # part equal to the second-to-last one by one, and turns every part
+    # after it into ones: the other parts of its length and the parts below
+    # it give back their sum, less one, as ones. The last partition, (n,),
+    # has no second-to-last part. Below, that part has length i + 1.
+    j = [0] * n
+    j[0] = n
     while True:
-        yield make(CycleType, (n, tuple(j[1:])))
-        x = 1
-        while not j[x]:
-            x += 1
-        freed = x * j[x]
-        if j[x] == 1:
-            j[x] = 0
-            x += 1
-            while x <= n and not j[x]:
-                x += 1
-            if x > n:
+        yield make(CycleType, (n, tuple(j)))
+        i = 0
+        while not j[i]:
+            i += 1
+        freed = (i + 1) * j[i]
+        if j[i] == 1:
+            j[i] = 0
+            i += 1
+            while i < n and not j[i]:
+                i += 1
+            if i == n:
                 return
-            freed += x * j[x]
-        j[x] = 0
-        j[x + 1] += 1
-        j[1] = freed - x - 1
+            freed += (i + 1) * j[i]
+        j[i] = 0
+        j[i + 1] += 1
+        j[0] = freed - i - 2
 
 
 def cycle_type_count(j: CycleType) -> int:
@@ -137,11 +138,13 @@ def cycle_type_count(j: CycleType) -> int:
     integral. The one definition of the cycle-type weight: the census sum
     and the cycle-index coefficients both read it from here.
     """
+    n, counts = j
     denom = 1
-    for i, c in enumerate(j.j, start=1):
-        if c:
-            denom *= i**c * math.factorial(c)
-    q, r = divmod(math.factorial(j.n), denom)
+    # Only the lengths that occur contribute; compress skips the rest in C.
+    for i in itertools.compress(itertools.count(1), counts):
+        c = counts[i - 1]
+        denom *= i if c == 1 else i**c * math.factorial(c)
+    q, r = divmod(math.factorial(n), denom)
     if r:
         raise ArithmeticError(f"non-integral permutation count for {j}")
     return q
@@ -159,7 +162,8 @@ class Perm(namedtuple("Perm", "images")):
 
     @classmethod
     def identity(cls, n: int) -> Perm:
-        return cls(tuple(range(n)))
+        # range(n) is a bijection, so Perm.__new__'s check is skipped.
+        return tuple.__new__(cls, (tuple(range(n)),))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Iterable[int]]) -> Perm:
@@ -187,9 +191,10 @@ class Perm(namedtuple("Perm", "images")):
 
     def __mul__(self, other: Perm) -> Perm:
         """Composition, self after other: (self * other)(x) == self(other(x))."""
-        if self.n != other.n:
+        if len(self.images) != len(other.images):
             raise ValueError(f"cannot compose permutations of {self.n} and {other.n} elements")
-        return Perm(tuple(self.images[v] for v in other.images))
+        # A composition of bijections is one, so Perm.__new__'s check is skipped.
+        return tuple.__new__(Perm, (tuple(map(self.images.__getitem__, other.images)),))
 
     def inverse(self) -> Perm:
         inv = [0] * self.n
@@ -248,9 +253,10 @@ def cycle_counts(images: tuple[int, ...]) -> tuple[int, ...]:
     for start in range(n):
         if seen[start]:
             continue
-        length = 0
-        x = start
-        while not seen[x]:
+        # start is never visited again, so only the rest of its cycle is marked.
+        x = images[start]
+        length = 1
+        while x != start:
             seen[x] = True
             x = images[x]
             length += 1

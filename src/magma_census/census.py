@@ -79,6 +79,7 @@ literal per-tuple loop, which is much slower at large n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from typing import Iterator
@@ -89,7 +90,6 @@ from .arith import (
     VARIANTS,
     CycleType,
     GuardError,
-    all_perms,
     cycle_counts,
     cycle_type_count,
     enumerate_cycle_types,
@@ -476,8 +476,8 @@ def count_via_permutation_sum(n: int, k: int, variant: str = VARIANT_CORRECT) ->
         raise GuardError(f"n={n} exceeds the permutation-sum guard of {DEFAULT_PERM_GUARD}")
     cache: dict[tuple[int, ...], int] = {}
     total = 0
-    for p in all_perms(n):
-        j = cycle_counts(p.images)
+    for images in itertools.permutations(range(n)):
+        j = cycle_counts(images)
         if j not in cache:
             cache[j] = fixed_point_count(CycleType(n, j), k, variant)
         total += cache[j]

@@ -15,9 +15,10 @@ usage error prints the usage of the command that was given.
 
 A count is the one-term sequence: count and sequence reach the walk
 through one function, census.sequence, or split.sequence at --jobs above
-1. Either loads only this module, census and arith; the oracle, the cycle
-index, the process split, json, decimal and random are imported by the
-command or format that uses them.
+1. Either loads only this module, census and arith. Past arith, every
+module (the census, the oracle, the cycle index, the process split, json,
+decimal and random) is imported by the command, suite or format that
+uses it, so `cycle-index` and its verify suite never load the census.
 """
 
 from __future__ import annotations
@@ -27,8 +28,14 @@ import os
 import sys
 import time
 
-from . import census
-from .arith import GuardError, enumerate_cycle_types, realize_cycle_type
+from .arith import (
+    VARIANT_CORRECT,
+    VARIANT_HARRISON,
+    VARIANTS,
+    GuardError,
+    enumerate_cycle_types,
+    realize_cycle_type,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -122,7 +129,7 @@ def _decimal_digits(value: int) -> str:
         return str(convert(value, value.bit_length()))
 
 
-def _count_record(result: census.CensusResult) -> dict:
+def _count_record(result) -> dict:
     # Counts travel as decimal strings: consumers with 64-bit JSON numbers
     # must still round-trip values like 178981952 and far beyond.
     return {
@@ -134,13 +141,15 @@ def _count_record(result: census.CensusResult) -> dict:
 
 
 def _refuse_nullary_gcd(args, arity: int) -> None:
-    if args.variant == census.VARIANT_HARRISON and arity == 0:
+    if args.variant == VARIANT_HARRISON and arity == 0:
         args.usage_error("--variant harrison-gcd needs arity >= 1")
 
 
 def _counts(args, fixed: int, lo: int, hi: int, vary: str = "n"):
     # The one reader of --jobs: census.sequence, its heavier walks split
     # over that many processes above 1.
+    from . import census
+
     if args.jobs > 1:
         from . import split
 
@@ -151,6 +160,8 @@ def _counts(args, fixed: int, lo: int, hi: int, vary: str = "n"):
 def cmd_count(args) -> int:
     _refuse_nullary_gcd(args, args.k)
     if args.method == METHOD_PERMUTATION:
+        from . import census
+
         result = census.count_via_permutation_sum(args.n, args.k, args.variant)
     else:
         # A count is the one term of a sequence; the list drains it, so a
@@ -235,7 +246,7 @@ def _counted(route):
 
 
 def _suite_burnside():
-    from . import oracle
+    from . import census, oracle
 
     pairs = ((f"n={n} k={k}", n, k) for n in range(0, 9)
              for k in range(0, _BURNSIDE_K_MAX + 1) if oracle.within_table_cap(n, k))
@@ -247,7 +258,7 @@ def _suite_burnside():
 def _suite_structural():
     import random
 
-    from . import oracle
+    from . import census, oracle
 
     def cases(rng):
         # One realization per cycle type, drawn before its arities.
@@ -264,13 +275,15 @@ def _suite_structural():
 
 
 def _suite_cross_method():
+    from . import census
+
     # Capped at n = 6: from (7, 3) on, the gcd variant's average over S_n
     # stops being an integer at all (a quiet proof of its wrongness), so
     # there is no count for the three routes to agree on.
     top = 6
     triples = ((f"n={n} k={k} variant={variant}", n, k, variant)
-               for n in range(0, top + 1) for k in range(0, 4) for variant in census.VARIANTS
-               if not (variant == census.VARIANT_HARRISON and k == 0))
+               for n in range(0, top + 1) for k in range(0, 4) for variant in VARIANTS
+               if not (variant == VARIANT_HARRISON and k == 0))
     return _agree(triples, {"partition": _counted(census.count_k_magmas),
                             "permutation": _counted(census.count_via_permutation_sum),
                             "cycle-index": _counted(census.count_via_cycle_index)},
@@ -278,6 +291,8 @@ def _suite_cross_method():
 
 
 def _suite_variant():
+    from . import census
+
     # The gcd variant must track the correct count through every k <= 2
     # and break first at n=2, k=3, undercounting 130 against 136. The
     # k=3 scan stops at n=6, where the variant still yields integers.
@@ -286,7 +301,7 @@ def _suite_variant():
     for k in range(1, 4):
         for n in range(0, 8 if k <= 2 else 7):
             good = census.count_k_magmas(n, k).count
-            bad = census.count_k_magmas(n, k, census.VARIANT_HARRISON).count
+            bad = census.count_k_magmas(n, k, VARIANT_HARRISON).count
             if good != bad:
                 if first is None:
                     first = (n, k, bad, good)
@@ -315,9 +330,10 @@ def _suite_cycle_index():
     # Polynomials are built only where the induced-index bound reads
     # them, and there the two are compared whole as well.
     recursive = cycle_index.recursive_counts(natural[-1])
+    key = cycle_index.count_key
     kept = []
     for n in natural:
-        same = {j.j: c for j, c in cycle_index.direct_counts(n)} == recursive[n]
+        same = {key(j.j): c for j, c in cycle_index.direct_counts(n)} == recursive[n]
         if n in induced:
             direct = cycle_index.cycle_index_direct(n)
             same = same and direct.terms == cycle_index.cycle_index_recursive(n).terms
@@ -389,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = add_command("count", cmd_count, "one isomorphism-class count")
     p_count.add_argument("--n", type=natural, required=True)
     p_count.add_argument("--k", type=natural, required=True)
-    p_count.add_argument("--variant", choices=census.VARIANTS,
-                         default=census.VARIANT_CORRECT)
+    p_count.add_argument("--variant", choices=VARIANTS,
+                         default=VARIANT_CORRECT)
     p_count.add_argument("--method", default=METHOD_PARTITION,
                          choices=(METHOD_PARTITION, METHOD_PERMUTATION))
     add_format(p_count, FORMAT_PLAIN, FORMAT_JSON)
@@ -402,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--from", dest="lo", type=natural, required=True)
     p_seq.add_argument("--to", dest="hi", type=natural, required=True)
     p_seq.add_argument("--vary", choices=("n", "k"), default="n")
-    p_seq.add_argument("--variant", choices=census.VARIANTS,
-                       default=census.VARIANT_CORRECT)
+    p_seq.add_argument("--variant", choices=VARIANTS,
+                       default=VARIANT_CORRECT)
     add_format(p_seq, FORMAT_PLAIN, FORMAT_JSON, FORMAT_BFILE)
     add_jobs(p_seq, split_help)
 

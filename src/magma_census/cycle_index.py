@@ -160,26 +160,44 @@ def cycle_index_direct(n: int) -> CycleIndexPoly:
     return CycleIndexPoly(n, None, tuple(terms))
 
 
-def recursive_counts(n: int) -> list[dict[tuple[int, ...], int]]:
-    """N_0, ..., N_n with N_m = m! Z_m, keyed by cycle-count vectors of length m.
+# count_key reads a vector as little-endian bytes, so j_i is the digit of
+# weight 256^(i-1). j_1 reaches n at the identity; up to n = KEY_MAX_N every
+# count is a digit and no two vectors share a key.
+KEY_MAX_N = 255
+
+
+def count_key(j: tuple[int, ...]) -> int:
+    """The integer key of the cycle-count vector j, sum_i j_i 256^(i-1).
+
+    Trailing zeros leave it unchanged, so a vector keeps its key at every
+    length. A count above KEY_MAX_N has no digit and raises ValueError.
+    """
+    return int.from_bytes(bytes(j), "little")
+
+
+def recursive_counts(n: int) -> list[dict[int, int]]:
+    """N_0, ..., N_n with N_m = m! Z_m, keyed by count_key of the cycle-count vector.
 
     The length of the cycle through a marked point gives
     Z_m = (1/m) sum_{i=1..m} t_i Z_{m-i}, so N_0 = 1 and
-    N_m = sum_i (m-1)!/(m-i)! t_i N_{m-i}, where t_i pads the vector to
-    length m and adds one i-cycle. One ascending pass builds every N_m
-    into a fresh list; nothing is kept between calls.
+    N_m = sum_i (m-1)!/(m-i)! t_i N_{m-i}, where t_i adds one i-cycle:
+    one integer addition of 256^(i-1) to the key. Counts never exceed n,
+    so up to KEY_MAX_N no two vectors share a key; past it ValueError.
+    One ascending pass builds every N_m into a fresh list; nothing is kept
+    between calls.
     """
-    tables: list[dict[tuple[int, ...], int]] = [{(): 1}]
+    if n > KEY_MAX_N:
+        raise ValueError(f"n={n} exceeds the largest keyed size {KEY_MAX_N}")
+    tables: list[dict[int, int]] = [{0: 1}]
     for m in range(1, n + 1):
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict[int, int] = {}
+        get = acc.get
         falling = 1  # (m-1)!/(m-i)!
         for i in range(1, m + 1):
-            pad = (0,) * i
+            step = 256 ** (i - 1)
             for key, coeff in tables[m - i].items():
-                j = list(key + pad)
-                j[i - 1] += 1
-                j = tuple(j)
-                acc[j] = acc.get(j, 0) + falling * coeff
+                key += step
+                acc[key] = get(key, 0) + falling * coeff
             falling *= m - i
         tables.append(acc)
     return tables
@@ -196,7 +214,7 @@ def cycle_index_recursive(n: int) -> CycleIndexPoly:
     table = recursive_counts(n)[n]
     terms = []
     for j in enumerate_cycle_types(n):
-        coeff = table.pop(j.j, None)
+        coeff = table.pop(count_key(j.j), None)
         if coeff is None:
             raise ArithmeticError(f"recursion lost the cycle type {j}")
         exps = tuple((i, c) for i, c in enumerate(j.j, start=1) if c > 0)

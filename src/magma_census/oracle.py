@@ -35,15 +35,17 @@ block's first table, whose test read the same entries. So the count is
 exact, and at (2, 4) it tests 766 of the 65,536 tables.
 
 Every comparison starts at position 0, and what it reads there depends
-only on the position c0 the relabeling draws it from and on the value
-there. So the relabelings are grouped once by c0 and by the image they
-give each value. A relabeling whose table comes out larger at position 0
-is passed over unvisited, and one that comes out smaller rejects the table
-at once. The relabelings that tie at position 0 are grouped again, the
-same way, by their comparison at position 1; these second-level groups
-are built the first time a table ties them, and live only as long as the
-count that built them. Only the relabelings that tie at both positions are
-compared on, position by position.
+only on the position c0 the relabeling draws it from and on the value v
+there. So the relabelings are grouped once by c0, and each group keeps
+the least image it gives each v. A group whose least image of v is
+smaller than the table's entry rejects the table at once; one whose least
+image is larger is passed over unvisited. Only the relabelings that give v
+exactly the least image can tie, so only that one row of ties is kept per
+v. The relabelings that tie at position 0 are grouped again, the same way,
+by their comparison at position 1; these second-level groups are built the
+first time a table ties them, and live only as long as the count that
+built them. Only the relabelings that tie at both positions are compared
+on, position by position.
 """
 
 from __future__ import annotations
@@ -125,81 +127,88 @@ def _cell_order(n: int, k: int) -> list[int]:
     return [c for _, c in sorted((pattern(t), c) for c, t in enumerate(tuples))]
 
 
-def _relabel_maps(n: int, k: int) -> list[tuple[tuple[int, ...], ...]]:
-    # One (entry images, source positions, reach) triple per non-identity
+def _relabel_maps(n: int, k: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    # One (entry images, source positions) pair per non-identity
     # relabeling, over the positions of _cell_order. The relabeled table
     # holds pimg[entries[src[i]]] at position i, and src[i] lies in the
     # orbit block of position i. Comparing it with entries through position
     # i reads only the positions i' and src[i'] for i' <= i, the largest of
-    # which is reach[i]. As src is a permutation, its i + 1 first entries
-    # are distinct and the largest is at least i, so reach is the running
-    # maximum of src alone. Permutations of range(n) come in lexicographic
-    # order, identity first; the identity never disturbs minimality and is
-    # skipped. Equal reach rows are stored once: at (7, 1), 428 of them
-    # serve 5,039 maps. From k = 1 on, no two relabelings share a src row.
-    # At k = 1 the cells are the points, in their own order, so src is the
-    # inverse permutation itself.
+    # which is the reach, max(src[:i + 1]): src is a permutation, so its
+    # i + 1 first entries are distinct and the largest is at least i.
+    # Permutations of range(n) come in lexicographic order, identity first;
+    # the identity never disturbs minimality and is skipped. src is read
+    # off the inverse permutation, built in one pass; at k = 1 the cells are
+    # the points, in their own order, so src is that inverse itself.
     order = _cell_order(n, k)
     position = [0] * len(order)
     for i, c in enumerate(order):
         position[c] = i
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     maps = []
     for images in itertools.islice(itertools.permutations(range(n)), 1, None):
-        src = tuple(map(images.index, range(n)))
+        src = [0] * n
+        for x, y in enumerate(images):
+            src[y] = x
         if k != 1:
-            ic = _cell_images(src, k)
-            src = tuple(map(position.__getitem__, map(ic.__getitem__, order)))
-        reach = tuple(itertools.accumulate(src, max))
-        maps.append((images, src, shared.setdefault(reach, reach)))
+            src = list(map(position.__getitem__, map(_cell_images(src, k).__getitem__, order)))
+        maps.append((images, src))
     return maps
 
 
-def _split(maps, at: int, n: int) -> list:
+def _split(maps, at: int, reach: int) -> list:
     # The maps grouped by their comparison at position at, which reads v =
     # entries[s], s = src[at], and gives w = pimg[v]. A group is (s, reach,
-    # least, ties) for the maps sharing s: reach is their common reach[at],
-    # least[v] the smallest w in the group, and ties[v][w] lists its maps
-    # with pimg[v] == w, in the order given. Groups come in increasing s.
-    groups: dict[int, tuple[int, list[list[list]]]] = {}
+    # least, ties) for the maps sharing s: reach is max(reach, s), the
+    # reach of all of them at position at when they tied before it,
+    # least[v] the smallest w in the group, and ties[v] its maps with
+    # pimg[v] == least[v] (_Ties). Groups come in increasing s.
+    by_source: dict[int, list] = {}
     for m in maps:
         s = m[1][at]
-        if s not in groups:
-            groups[s] = (m[2][at], [[[] for _ in range(n)] for _ in range(n)])
-        rows = groups[s][1]
-        for v, w in enumerate(m[0]):
-            rows[v][w].append(m)
-    return [
-        (s, reach, [min(w for w, tied in enumerate(row) if tied) for row in rows], rows)
-        for s, (reach, rows) in sorted(groups.items())
-    ]
+        if s in by_source:
+            by_source[s].append(m)
+        else:
+            by_source[s] = [m]
+    groups = []
+    for s, group in sorted(by_source.items()):
+        columns = list(zip(*[m[0] for m in group]))
+        least = list(map(min, columns))
+        reach_s = max(reach, s)
+        groups.append((s, reach_s, least, _Ties(group, columns, least, at, reach_s)))
+    return groups
 
 
-class _SecondGroups(dict):
-    """w -> the second-level groups of the maps in one first-level tie row.
+class _Ties(dict):
+    """v -> the maps of one group that give v its least image, in order.
 
-    row[w] lists the maps of one cell-0 group that give one value v the
-    image w. They are split by their comparison at position 1 (_split) the
-    first time a table ties them at position 0, and kept for the rest of
-    the count that built them.
+    No other image of v can tie without a smaller one rejecting first, so
+    no other row is built, and this one only the first time a table ties
+    the group at v. At position 0 the row is grouped again by its
+    comparison at position 1 (_split). Rows live as long as the count that
+    built them.
     """
 
-    def __init__(self, row: list[list], n: int):
+    def __init__(self, group: list, columns: list, least: list[int], at: int, reach: int):
         super().__init__()
-        self.row = row
-        self.n = n
+        self.group = group
+        self.columns = columns
+        self.least = least
+        self.at = at
+        self.reach = reach
 
-    def __missing__(self, w: int) -> list:
-        groups = self[w] = _split(self.row[w], 1, self.n)
-        return groups
+    def __missing__(self, v: int) -> list:
+        row = list(itertools.compress(self.group, map(self.least[v].__eq__, self.columns[v])))
+        if self.at == 0:
+            row = _split(row, 1, self.reach)
+        self[v] = row
+        return row
 
 
 def _relabel_groups(n: int, k: int) -> list:
     # The non-identity relabelings grouped by their comparison at position
-    # 0, as _split gives them, with each tie row wrapped so that its maps are
-    # grouped again by their comparison at position 1 when first tied.
-    # A one-cell table has nothing to compare after cell 0 (c0 = 0 for every
-    # map), so there the maps are not built and the ties stay empty.
+    # 0, as _split gives them; each tie row there is grouped again by its
+    # comparison at position 1 when first tied (_Ties). A one-cell table
+    # has nothing to compare after cell 0 (c0 = 0 for every map), so there
+    # the maps are not built and the ties stay empty.
     if n**k == 1:
         if n < 2:
             return []
@@ -210,11 +219,8 @@ def _relabel_groups(n: int, k: int) -> list:
 
         # Each least-image scan stops at the first image 0, as none is smaller.
         least = [0 if 0 in images_of(v) else min(images_of(v)) for v in range(n)]
-        return [(0, 0, least, [[()] * n] * n)]
-    return [
-        (c0, reach, least, [_SecondGroups(row, n) for row in rows])
-        for c0, reach, least, rows in _split(_relabel_maps(n, k), 0, n)
-    ]
+        return [(0, 0, least, [()] * n)]
+    return _split(_relabel_maps(n, k), 0, 0)
 
 
 def _rejecting_reach(entries: list[int], groups) -> tuple[bool, int]:
@@ -237,23 +243,43 @@ def _rejecting_reach(entries: list[int], groups) -> tuple[bool, int]:
     last = len(entries) - 1
     # Every group read its c0, and the last group's is the last position
     # of the diagonal block. Positions 1 and c1 lie in that block too, so
-    # the comparisons at position 1 never read past it.
+    # the comparisons at position 1 never read past it. Past it, a map's
+    # reach is worked out only where it can still raise the largest one.
     reach = groups[-1][1] if groups else 0
-    rest = range(2, len(entries))
-    for c0, _, _, ties in groups:
-        for c1, r1, least, rows in ties[entries[c0]][e0]:
+    # Most maps that tie at positions 0 and 1 differ at position 2, so it
+    # is read before the loop over the positions after it. A table of two
+    # cells has no position 2: there a map tied at both is an automorphism.
+    e2 = entries[2] if last > 1 else None
+    rest = range(3, len(entries))
+    for c0, _, least, ties in groups:
+        v = entries[c0]
+        if least[v] != e0:
+            continue
+        for c1, r1, least, rows in ties[v]:
             v, e1 = entries[c1], entries[1]
-            if least[v] < e1:
-                return False, r1
-            for pimg, src, far in rows[v][e1]:
+            if least[v] != e1:
+                if least[v] < e1:
+                    return False, r1
+                continue
+            if e2 is None:
+                reach = last
+                continue
+            for pimg, src in rows[v]:
+                r = pimg[entries[src[2]]]
+                if r != e2:
+                    if r < e2:
+                        return False, max(src[:3])
+                    if reach != last:
+                        reach = max(reach, *src[:3])
+                    continue
                 for c in rest:
                     r = pimg[entries[src[c]]]
                     e = entries[c]
                     if r != e:
                         if r < e:
-                            return False, far[c]
-                        if far[c] > reach:
-                            reach = far[c]
+                            return False, max(src[:c + 1])
+                        if reach != last:
+                            reach = max(reach, *src[:c + 1])
                         break
                 else:
                     reach = last
@@ -319,6 +345,5 @@ def fixed_tables_structural(p: Perm, n: int, k: int) -> int:
     total = 1
     for length, cycles in enumerate(cycle_counts(cell_permutation(p, k).images), start=1):
         if cycles:
-            q = p**length
-            total *= sum(1 for x in range(n) if q.images[x] == x) ** cycles
+            total *= sum(map(operator.eq, (p**length).images, range(n))) ** cycles
     return total

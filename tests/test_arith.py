@@ -121,12 +121,27 @@ def test_perm_from_cycles_and_str():
 
 
 def test_perm_composition_law(rng):
+    # Products and powers skip Perm's bijection check. Each must still be a
+    # Perm that passes it, equal to the composition written out point by
+    # point; operands of different sizes are still refused.
     for _ in range(50):
         n = rng.randrange(1, 7)
         p = random_perm(rng, n)
         q = random_perm(rng, n)
         x = rng.randrange(n)
         assert (p * q)(x) == p(q(x))
+        m = rng.randrange(-3, 8)
+        for built in (p * q, p**m):
+            assert type(built) is Perm
+            assert Perm(built.images) == built
+        assert (p * q).images == tuple(p.images[q.images[y]] for y in range(n))
+        power = list(range(n))
+        step = p.images if m >= 0 else p.inverse().images
+        for _ in range(abs(m)):
+            power = [step[y] for y in power]
+        assert (p**m).images == tuple(power)
+        with pytest.raises(ValueError):
+            p * random_perm(rng, n + 1)
 
 
 def test_perm_cycles_roundtrip(rng):

@@ -477,6 +477,25 @@ def test_count_loads_only_what_it_runs(argv):
     )
 
 
+def test_cycle_index_suite_loads_no_census():
+    # The census is imported by the commands and suites that count, so the
+    # cycle-index suite's process compiles only the cycle index and arith.
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['magma_census', 'verify', '--suite', 'cycle-index']\n"
+        "try:\n"
+        "    runpy.run_module('magma_census', run_name='__main__')\n"
+        "except SystemExit as e:\n"
+        "    assert e.code in (None, 0), e.code\n"
+        "print(sorted(m for m in sys.modules if m.startswith('magma_census')))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == str(
+        ["magma_census", "magma_census.arith", "magma_census.cli", "magma_census.cycle_index"]
+    )
+
+
 # Every name the package exports, and its version.
 _PACKAGE_EXPORTS = (
     "CycleType", "Perm", "all_perms", "cycle_type_count", "cycle_type_of",

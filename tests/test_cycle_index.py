@@ -15,7 +15,7 @@ from magma_census import (
     substitute_per_monomial,
 )
 from magma_census import cycle_index
-from magma_census.cycle_index import recursive_counts
+from magma_census.cycle_index import count_key, recursive_counts
 from magma_census.oracle import cell_permutation
 
 from conftest import partition_count
@@ -36,6 +36,23 @@ def test_render_induced_square():
 def test_recursive_equals_direct():
     for n in range(0, 15):
         assert cycle_index_recursive(n).terms == cycle_index_direct(n).terms
+    # N_n is keyed by count_key, one digit j_i of weight 256^(i-1) per
+    # cycle length: at every n <= 25 each cycle type's key reads back its
+    # vector, so no two share one, and N_n holds n!/z_j under each.
+    tables = recursive_counts(25)
+    for n in range(0, 26):
+        direct = {}
+        for j, count in cycle_index.direct_counts(n):
+            key = count_key(j.j)
+            assert [key >> 8 * i & 255 for i in range(n)] == list(j.j)
+            assert key not in direct
+            direct[key] = count
+        assert tables[n] == direct, n
+    # Past 255 a count has no digit: the recursion and the key refuse it.
+    with pytest.raises(ValueError):
+        recursive_counts(cycle_index.KEY_MAX_N + 1)
+    with pytest.raises(ValueError):
+        count_key((cycle_index.KEY_MAX_N + 1,) + (0,) * cycle_index.KEY_MAX_N)
 
 
 def test_recursive_counts_keep_no_state():

@@ -180,8 +180,9 @@ def test_grouped_canonicity_test_matches_canonical_form():
     # table sharing the first reach + 1 entries read, an aligned run of
     # n^(cells - reach - 1) tables) holds no least table when it rejects
     # and only least tables when it accepts.
-    # (4, 0) and (1, 2) take the one-cell grouping, which keeps no tie lists.
-    for n, k in [(2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 0), (1, 2)]:
+    # (4, 0) and (1, 2) take the one-cell grouping, which keeps no tie lists;
+    # (2, 1) has no position 2, so a map tied at both cells is an automorphism.
+    for n, k in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (4, 0), (1, 2)]:
         groups = _relabel_groups(n, k)
         order = _cell_order(n, k)
         tables = list(_tables_in_order(n, k, order))
@@ -270,21 +271,20 @@ def test_relabel_maps_match_the_definition():
         maps = _relabel_maps(n, k)
         order = _cell_order(n, k)
         position = {c: i for i, c in enumerate(order)}
-        assert [pimg for pimg, _, _ in maps] == [p.images for p in perms]
+        assert [pimg for pimg, _ in maps] == [p.images for p in perms]
         cells = range(n**k)
-        for p, (_, src, reach) in zip(perms, maps):
+        for p, (_, src) in zip(perms, maps):
             q = p.inverse()
             assert list(src) == [
                 position[encode_cell(n, k, apply_tuple(q, decode_cell(n, k, c)))]
                 for c in order
             ]
+            # A permutation of the positions, so max(src[:i + 1]) >= i: the
+            # reach of a comparison through position i is that maximum.
+            assert sorted(src) == list(cells)
             assert cell_permutation(p, k).images == tuple(
                 encode_cell(n, k, apply_tuple(p, decode_cell(n, k, c))) for c in cells
             )
-            running = 0
-            for i in cells:
-                running = max(running, i, src[i])
-                assert reach[i] == running
 
 
 def test_orbit_count_cap(monkeypatch):

@@ -166,7 +166,10 @@ real_fork = os.fork
 def fork():
     pid = real_fork()
     if pid:
-        print(f"child {pid}", file=sys.stderr, flush=True)
+        # One write, so that under PYTHONUNBUFFERED the line cannot be cut
+        # by a child's traceback.
+        sys.stderr.write(f"child {pid}\\n")
+        sys.stderr.flush()
     elif os.environ.get("FAULT"):
         def broken(*args):
             raise RuntimeError("injected fault")
